@@ -5,6 +5,7 @@ Each harvested cycle is expanded back through the reduction trace, so all
 certificates refer to the caller's graph.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -135,43 +136,58 @@ def reduce_low_degree(g):
 
     Degree-2 vertices whose both edges go to the same neighbor carry a
     2-cycle and are left alone.  Returns the reduced graph and the trace.
+
+    Order contract: each step acts on the smallest-id vertex that qualifies
+    in the current graph, deleting it (degree <= 1) or suppressing it into a
+    fresh edge (ids from ``g.next_edge_id()`` upward, in step order).  The
+    trace and the reduced graph, including its edge order, depend on this.
+
+    One pass over a mutable copy with a heap of candidate vertices; only the
+    neighbours of the vertex just removed are re-examined, so the cost is
+    O((n + m) log n) plus building the result once.
     """
+    ends = dict(g.edges)  # working edge table; keeps g's edge order
+    adj = {v: {} for v in g.vertices}  # v -> neighbour -> list of edge ids
+    for eid, (u, v) in ends.items():
+        adj[u].setdefault(v, []).append(eid)
+        adj[v].setdefault(u, []).append(eid)
+    deg = {v: sum(map(len, nbrs.values())) for v, nbrs in adj.items()}
+
+    def qualifies(v):
+        return deg[v] <= 1 or (deg[v] == 2 and len(adj[v]) == 2)
+
+    heap = sorted(v for v in adj if qualifies(v))
     events = []
-    h = g
     next_eid = g.next_edge_id()
-    while True:
-        degs = h.degrees()
-        target = None
-        for v in sorted(degs):
-            if degs[v] <= 1:
-                target = ("drop", v)
-                break
-            if degs[v] == 2:
-                e1, e2 = h.incident(v)
-                nbrs = h.neighbors(v)
-                if len(nbrs) == 2:
-                    target = ("suppress", v, e1, e2)
-                    break
-        if target is None:
-            return h, ReductionTrace(tuple(events))
-        if target[0] == "drop":
-            v = target[1]
-            events.append(DeleteVertex(v, tuple(h.incident(v))))
-            h = h.delete_vertices({v})
-        else:
-            _, v, e1, e2 = target
-            a, b = h.endpoints(e1)
-            x = a if b == v else b
-            a, b = h.endpoints(e2)
-            z = a if b == v else b
+    while heap:
+        v = heapq.heappop(heap)
+        if v not in adj or not qualifies(v):
+            continue  # stale entry
+        nbrs = adj.pop(v)
+        del deg[v]
+        incident = sorted(e for ids in nbrs.values() for e in ids)
+        for e in incident:
+            del ends[e]
+        if len(incident) == 2:
+            e1, e2 = incident
+            x, z = (next(u for u, ids in nbrs.items() if e in ids) for e in incident)
             rep = next_eid
             next_eid += 1
             events.append(Suppress(v, e1, e2, rep, x, z))
-            edges = {
-                eid: uv for eid, uv in h.edges.items() if eid not in (e1, e2)
-            }
-            edges[rep] = (x, z)
-            h = type(h)(h.vertices - {v}, edges)
+            ends[rep] = (x, z)
+            del adj[x][v], adj[z][v]
+            adj[x].setdefault(z, []).append(rep)
+            adj[z].setdefault(x, []).append(rep)
+        else:
+            events.append(DeleteVertex(v, tuple(incident)))
+            for u, ids in nbrs.items():
+                del adj[u][v]
+                deg[u] -= len(ids)
+        for u in nbrs:
+            heapq.heappush(heap, u)
+    if not events:
+        return g, ReductionTrace(())
+    return type(g)(adj, ends), ReductionTrace(tuple(events))
 
 
 # -- the packing-or-covering driver ---------------------------------------------

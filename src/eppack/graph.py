@@ -341,42 +341,18 @@ class MultiGraph:
                 chosen.append(eid)
         return chosen
 
-    def _bfs_path(self, source, target, banned_edge):
-        """Shortest source->target path avoiding one edge id; ties prefer
-        smaller vertex ids.  Returns (vertices, edge ids) or None."""
-        prev = {source: (None, None)}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            if v == target:
-                break
-            for u in sorted(self._adj[v]):
-                if u in prev:
-                    continue
-                ids = [e for e in self._adj[v][u] if e != banned_edge]
-                if not ids:
-                    continue
-                prev[u] = (v, min(ids))
-                queue.append(u)
-        if target not in prev:
-            return None
-        verts, eids = [target], []
-        v = target
-        while prev[v][0] is not None:
-            p, e = prev[v]
-            eids.append(e)
-            verts.append(p)
-            v = p
-        verts.reverse()
-        eids.reverse()
-        return verts, eids
-
     def shortest_cycle(self):
         """A shortest cycle, or None on forests.
 
-        A parallel pair counts as a cycle of length 2.  Ties are broken by
-        the smallest canonical vertex/edge sequence, so the result is
-        deterministic.
+        A parallel pair counts as a cycle of length 2.  Otherwise the graph
+        is simple and the result is the minimum, by length and then by
+        canonical vertex/edge sequence, over one candidate per edge: the
+        edge plus the BFS path between its endpoints that avoids it.  Edges
+        are taken in id order; the BFS visits smaller vertex ids first and
+        fixes each vertex's parent when it first reaches it, so the result
+        is deterministic.  Each BFS stops once its depth reaches
+        ``len(best) - 1``: a deeper path would close a cycle longer than
+        the best one, so the cut-off leaves the result unchanged.
         """
         best = None
 
@@ -396,15 +372,39 @@ class MultiGraph:
                     consider([u, v], sorted(ids)[:2])
         if best is not None:
             return best  # length 2 is unbeatable in a loopless graph
+        # simple from here on: one edge id per neighbour
+        nbrs = {
+            v: [(u, ids[0]) for u, ids in sorted(adj.items())]
+            for v, adj in self._adj.items()
+        }
         for eid in sorted(self._edges):
-            u, v = self._edges[eid]
-            found = self._bfs_path(u, v, eid)
-            if found is None:
+            source, target = self._edges[eid]
+            limit = self.n if best is None else len(best) - 1
+            prev = {source: None}
+            frontier = [source]
+            depth = 0
+            while frontier and depth < limit and target not in prev:
+                depth += 1
+                grown = []
+                for v in frontier:
+                    for u, e in nbrs[v]:
+                        if u not in prev and e != eid:
+                            prev[u] = (v, e)
+                            grown.append(u)
+                    if target in prev:
+                        break
+                frontier = grown
+            if target not in prev:
                 continue
-            verts, eids = found
-            if best is not None and len(eids) + 1 > len(best):
-                continue
-            consider(verts, eids + [eid])
+            verts, eids = [target], [eid]
+            v = target
+            while v != source:
+                v, e = prev[v]
+                verts.append(v)
+                eids.append(e)
+            verts.reverse()
+            eids.reverse()
+            consider(verts, eids)
         return best
 
     def girth(self):
@@ -428,23 +428,3 @@ class MultiGraph:
     def __hash__(self):
         return hash((self._vertices, tuple(sorted(self._edges.items()))))
 
-
-class GraphBuilder:
-    """Mutable helper for assembling large graphs (gadget generation)."""
-
-    def __init__(self):
-        self._verts = []
-        self._pairs = []
-
-    def add_vertex(self):
-        v = len(self._verts)
-        self._verts.append(v)
-        return v
-
-    def add_edge(self, u, v):
-        eid = len(self._pairs)
-        self._pairs.append((u, v))
-        return eid
-
-    def build(self):
-        return MultiGraph.from_edges(self._verts, self._pairs)

@@ -6,8 +6,10 @@ logic.
 """
 
 import itertools
+from collections import deque
 
-from eppack.graph import Mode, MultiGraph
+from eppack.cycles import DeleteVertex, ReductionTrace, Suppress
+from eppack.graph import Mode, MultiGraph, _canonical_cycle
 from eppack.iso import enumerate_cycles
 
 
@@ -76,3 +78,128 @@ def from_networkx(nxg):
     pos = {v: i for i, v in enumerate(nodes)}
     edges = [(pos[u], pos[v]) for u, v in nxg.edges]
     return MultiGraph.from_edges(range(len(nodes)), edges)
+
+
+def random_multigraph(rng, max_n=9, max_m=16):
+    """Seeded loopless multigraph with non-contiguous vertex and edge ids.
+
+    About one edge in four repeats an earlier pair, so parallel edges are
+    common; ``rng`` is an ``eppack.rng.SplitMix64``.
+    """
+    n = rng.randint(1, max_n)
+    verts = sorted(rng.sample(range(3 * max_n), n))
+    pairs = []
+    for _ in range(rng.randint(0, max_m) if n > 1 else 0):
+        if pairs and rng.random() < 0.25:
+            pairs.append(pairs[rng.randrange(len(pairs))])
+        else:
+            u, v = rng.sample(verts, 2)
+            pairs.append((u, v))
+    eids = sorted(rng.sample(range(3 * max_m + 3), len(pairs)))
+    return MultiGraph(verts, dict(zip(eids, pairs)))
+
+
+# -- reference kernels ----------------------------------------------------------
+#
+# Plain versions of ``reduce_low_degree`` (a rescan and a full rebuild per
+# step) and ``shortest_cycle`` (an uncut BFS per edge).  The tests require the
+# package's worklist and cut-off kernels to return exactly what these return.
+
+
+def ref_reduce_low_degree(g):
+    events = []
+    h = g
+    next_eid = g.next_edge_id()
+    while True:
+        degs = h.degrees()
+        target = None
+        for v in sorted(degs):
+            if degs[v] <= 1:
+                target = ("drop", v)
+                break
+            if degs[v] == 2:
+                e1, e2 = h.incident(v)
+                nbrs = h.neighbors(v)
+                if len(nbrs) == 2:
+                    target = ("suppress", v, e1, e2)
+                    break
+        if target is None:
+            return h, ReductionTrace(tuple(events))
+        if target[0] == "drop":
+            v = target[1]
+            events.append(DeleteVertex(v, tuple(h.incident(v))))
+            h = h.delete_vertices({v})
+        else:
+            _, v, e1, e2 = target
+            a, b = h.endpoints(e1)
+            x = a if b == v else b
+            a, b = h.endpoints(e2)
+            z = a if b == v else b
+            rep = next_eid
+            next_eid += 1
+            events.append(Suppress(v, e1, e2, rep, x, z))
+            edges = {
+                eid: uv for eid, uv in h.edges.items() if eid not in (e1, e2)
+            }
+            edges[rep] = (x, z)
+            h = type(h)(h.vertices - {v}, edges)
+
+
+def _ref_bfs_path(g, source, target, banned_edge):
+    prev = {source: (None, None)}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if v == target:
+            break
+        for u in g.neighbors(v):
+            if u in prev:
+                continue
+            ids = [e for e in g.edges_between(v, u) if e != banned_edge]
+            if not ids:
+                continue
+            prev[u] = (v, min(ids))
+            queue.append(u)
+    if target not in prev:
+        return None
+    verts, eids = [target], []
+    v = target
+    while prev[v][0] is not None:
+        p, e = prev[v]
+        eids.append(e)
+        verts.append(p)
+        v = p
+    verts.reverse()
+    eids.reverse()
+    return verts, eids
+
+
+def ref_shortest_cycle(g):
+    best = None
+
+    def consider(verts, eids):
+        nonlocal best
+        cand = _canonical_cycle(verts, eids)
+        key = (len(cand), cand.vertices, cand.edges)
+        if best is None or key < (len(best), best.vertices, best.edges):
+            best = cand
+
+    for u in sorted(g.vertices):
+        for v in g.neighbors(u):
+            if v < u:
+                continue
+            ids = g.edges_between(u, v)
+            if len(ids) >= 2:
+                consider([u, v], sorted(ids)[:2])
+    if best is not None:
+        return best
+    for eid in sorted(g.edges):
+        u, v = g.edges[eid]
+        found = _ref_bfs_path(g, u, v, eid)
+        if found is None:
+            continue
+        verts, eids = found
+        if best is not None and len(eids) + 1 > len(best):
+            continue
+        consider(verts, eids + [eid])
+    return best
