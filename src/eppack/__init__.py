@@ -31,7 +31,6 @@ from .decomp import (
     min_fill_td,
     to_nice,
     validate_td,
-    width,
 )
 from .errors import (
     BudgetExceeded,

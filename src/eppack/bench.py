@@ -13,7 +13,6 @@ from .gen import gnp, planar_stacked
 from .graph import Mode, MultiGraph
 from .oracles import (
     exact_cover_subgraph,
-    exact_epack_cycles,
     exact_pack_subgraph,
     exact_vcover_cycles,
     exact_vpack_cycles,

@@ -59,7 +59,7 @@ class PackingCertificate:
     @classmethod
     def from_dict(cls, d):
         members = tuple(
-            PatternWitness(frozenset(vs), frozenset(es)) for vs, es in d["members"]
+            PatternWitness(_id_set(vs), _id_set(es)) for vs, es in d["members"]
         )
         return cls(Mode.parse(d["mode"]), members)
 
@@ -86,15 +86,26 @@ class CoverCertificate:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(Mode.parse(d["mode"]), frozenset(d["elements"]))
+        return cls(Mode.parse(d["mode"]), _id_set(d["elements"]))
+
+
+def _id_set(ids):
+    if not isinstance(ids, list) or not all(type(x) is int for x in ids):
+        raise InvalidParameter(f"expected a list of integer ids, got {ids!r}")
+    return frozenset(ids)
 
 
 def certificate_from_dict(d):
-    if d["kind"] == "packing":
-        return PackingCertificate.from_dict(d)
-    if d["kind"] == "cover":
-        return CoverCertificate.from_dict(d)
-    raise InvalidParameter(f"unknown certificate kind {d['kind']!r}")
+    """Certificate from its JSON form; InvalidParameter if it is malformed."""
+    try:
+        kind = d["kind"]
+        if kind == "packing":
+            return PackingCertificate.from_dict(d)
+        if kind == "cover":
+            return CoverCertificate.from_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed certificate: {exc!r}") from None
+    raise InvalidParameter(f"unknown certificate kind {kind!r}")
 
 
 @dataclass(frozen=True)

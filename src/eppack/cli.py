@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import bench as bench_mod
-from . import gadgets, gen, io, oracles, treepart
+from . import gadgets, io, oracles, treepart
 from .certificates import builtin_detectors, verify_cover, verify_packing
 from .cycles import ep_cycles
 from .decomp import (
@@ -56,20 +56,30 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _emit_json(args, obj):
+    _emit(args, json.dumps(obj, indent=1) + "\n")
+
+
+def _emit_outcome(args, outcome):
+    """Write the certificate with its claims; exit 0 for a packing, 10 for a cover."""
+    report = outcome.report
+    _emit(
+        args,
+        io.format_certificate(
+            outcome.certificate, report.bound_claimed, report.hypotheses_held
+        ),
+    )
+    return EXIT_OK if outcome.packing is not None else EXIT_COVER
+
+
 def cmd_cycles(args):
     g = io.read_gr(args.input)
     mode = Mode.parse(args.mode)
     outcome = ep_cycles(g, args.k, mode, args.c_const)
-    cert = outcome.certificate
-    payload = cert.to_dict(
-        outcome.report.bound_claimed, outcome.report.hypotheses_held
-    )
-    _emit(args, json.dumps(payload, indent=1) + "\n")
-    if outcome.packing is not None:
-        print(f"packing of size {len(outcome.packing)}", file=sys.stderr)
-        return EXIT_OK
-    print(f"cover of size {len(outcome.cover)}", file=sys.stderr)
-    return EXIT_COVER
+    code = _emit_outcome(args, outcome)
+    kind = "packing" if code == EXIT_OK else "cover"
+    print(f"{kind} of size {len(outcome.certificate)}", file=sys.stderr)
+    return code
 
 
 def cmd_oracle(args):
@@ -103,16 +113,7 @@ def cmd_trees(args):
         packing, cover = gallai(fam)
         print(f"packing {len(packing)} cover {len(cover)}")
         if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(
-                    {
-                        "packing": packing.to_dict(),
-                        "cover": cover.to_dict(),
-                    },
-                    fh,
-                    indent=1,
-                )
-                fh.write("\n")
+            _emit_json(args, {"packing": packing.to_dict(), "cover": cover.to_dict()})
         return EXIT_OK
     fams = [io.read_family(path) for path in args.input]
     tree = fams[0].tree
@@ -124,11 +125,7 @@ def cmd_trees(args):
         return EXIT_COVER
     print("selection found")
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(
-                [[sorted(m) for m in per] for per in got], fh, indent=1
-            )
-            fh.write("\n")
+        _emit_json(args, [[sorted(m) for m in per] for per in got])
     return EXIT_OK
 
 
@@ -148,30 +145,21 @@ def cmd_decomp(args):
         ntd = to_nice(g, td)
         det = dets[args.patterns]
         sep = balanced_separation(g, ntd, det.exact_vpack)
-        _emit(
-            args,
-            json.dumps({"a": sorted(sep.a), "b": sorted(sep.b)}, indent=1)
-            + "\n",
-        )
+        _emit_json(args, {"a": sorted(sep.a), "b": sorted(sep.b)})
         return EXIT_OK
     if args.action == "cover":
         det = dets[args.patterns]
         coeff = args.ceiling_coeff or max(1, td.width())
         ceiling = Ceiling(lambda k: coeff * k, f"linear, coefficient {coeff}")
         cover = cover_connected_bounded_tw(g, det, ceiling, td)
-        _emit(args, json.dumps(cover.to_dict(), indent=1) + "\n")
+        _emit(args, io.format_certificate(cover, None, None))
         return EXIT_COVER if cover.elements else EXIT_OK
     # disconnected
     names = args.patterns.split(",")
     outcome = disconnected_pattern_ep(
         g, td, [dets[name] for name in names], args.k
     )
-    cert = outcome.certificate
-    payload = cert.to_dict(
-        outcome.report.bound_claimed, outcome.report.hypotheses_held
-    )
-    _emit(args, json.dumps(payload, indent=1) + "\n")
-    return EXIT_OK if outcome.packing is not None else EXIT_COVER
+    return _emit_outcome(args, outcome)
 
 
 def cmd_tp(args):
@@ -186,12 +174,7 @@ def cmd_tp(args):
         return EXIT_OK
     det = builtin_detectors()[args.patterns]
     outcome = treepart.inductive_edge_cover(g, tp, det, args.k)
-    cert = outcome.certificate
-    payload = cert.to_dict(
-        outcome.report.bound_claimed, outcome.report.hypotheses_held
-    )
-    _emit(args, json.dumps(payload, indent=1) + "\n")
-    return EXIT_OK if outcome.packing is not None else EXIT_COVER
+    return _emit_outcome(args, outcome)
 
 
 def cmd_gadget(args):
@@ -211,7 +194,7 @@ def cmd_gadget(args):
             int(tok) for tok in args.x.split(",") if tok.strip()
         )
         model = gadgets.route_avoiding(gadget, forbidden)
-        _emit(args, json.dumps(io.model_to_dict(model), indent=1) + "\n")
+        _emit_json(args, io.model_to_dict(model))
         return EXIT_OK
     if args.output:
         io.write_gr(gadget.graph, args.output)

@@ -1,7 +1,7 @@
 """Tree decompositions, their nice form, balanced separations, and the
 recursive cover constructions built on them."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certificates import (
     CoverCertificate,
@@ -19,6 +19,10 @@ from .errors import (
 )
 from .graph import Mode, MultiGraph
 from .trees import SubtreeFamily, gallai, rs_selection
+
+EXACT_TD_MAX_N = 15  # the subset DP takes 2^n memory and time
+WITNESS_CAP = 100_000  # witnesses enumerated per family of a disconnected pattern
+CEILING_SAMPLES = ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5))
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,6 @@ def validate_td(g, td):
             diags.violations.append(("bags-of-vertex-disconnected", v))
             return diags
     return diags
-
-
-def width(td):
-    return td.width()
 
 
 # -- construction from elimination orders --------------------------------------
@@ -127,14 +127,15 @@ def min_fill_td(g):
     return _td_from_elimination(g, min_fill_order(g))
 
 
-def exact_elimination_td(g, max_n=15):
+def exact_elimination_td(g):
     """Optimal-width decomposition by subset dynamic programming.
 
-    Only intended for very small hosts; the heuristics cover the rest.
+    Only intended for hosts of at most EXACT_TD_MAX_N vertices; the
+    heuristics cover the rest.
     """
     n = g.n
-    if n > max_n:
-        raise InvalidDecomposition(f"exact search limited to {max_n} vertices")
+    if n > EXACT_TD_MAX_N:
+        raise InvalidDecomposition(f"exact search limited to {EXACT_TD_MAX_N} vertices")
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
     nbr_mask = [0] * n
@@ -301,27 +302,13 @@ def to_nice(g, td):
         return NiceTreeDecomposition(nodes, root)
 
     troot = min(td.tree.vertices)
-    parent = {troot: None}
-    order = [troot]
-    stack = [troot]
-    while stack:
-        t = stack.pop()
-        for u in td.tree.neighbors(t):
-            if u not in parent:
-                parent[u] = t
-                order.append(u)
-                stack.append(u)
-    children = {t: [] for t in parent}
-    for t, p in parent.items():
-        if p is not None:
-            children[p].append(t)
+    children = td.tree.rooted(troot)
 
     def build(t):
         bag = td.bags[t]
-        kids = sorted(children[t])
-        if not kids:
+        if not children[t]:
             return chain_up_from_base(bag)
-        tops = [adapt(build(c), td.bags[c], bag) for c in kids]
+        tops = [adapt(build(c), td.bags[c], bag) for c in children[t]]
         while len(tops) > 1:
             merged = new("join", bag, (tops[0], tops[1]))
             tops = [merged] + tops[2:]
@@ -410,8 +397,9 @@ class Ceiling:
     f: object  # callable int -> int
     note: str = ""
 
-    def check(self, samples=((0, 1), (1, 1), (1, 2), (2, 3), (3, 5))):
-        for x, y in samples:
+    def check(self):
+        """Superadditivity and monotonicity on the CEILING_SAMPLES pairs."""
+        for x, y in CEILING_SAMPLES:
             if self.f(x) + self.f(y) > self.f(x + y):
                 return False
             if self.f(x) > self.f(x + 1):
@@ -425,24 +413,25 @@ def _restrict_td(td, keep):
     )
 
 
-def cover_connected_bounded_tw(g, det, ceiling, td=None, pack_oracle=None):
-    """Recursive cover for connected patterns via balanced separations."""
-    if pack_oracle is None:
-        pack_oracle = det.exact_vpack
+def cover_connected_bounded_tw(g, det, ceiling, td=None):
+    """Recursive cover for connected patterns via balanced separations.
+
+    The detector's exact vertex-packing oracle gives the packing numbers.
+    """
     if td is None:
         td = min_fill_td(g)
 
     def rec(h, td_h):
         if det.find(h) is None:
             return set()
-        k = pack_oracle(h)
+        k = det.exact_vpack(h)
         w = td_h.width()
         if w > ceiling.f(k):
             raise CeilingViolated(
                 f"observed width {w} exceeds ceiling f({k})={ceiling.f(k)}"
             )
         ntd = to_nice(h, td_h)
-        sep = balanced_separation(h, ntd, pack_oracle)
+        sep = balanced_separation(h, ntd, det.exact_vpack)
         cov = set(sep.a & sep.b)
         for side in (sep.a - sep.b, sep.b - sep.a):
             cov |= rec(h.induced(side), _restrict_td(td_h, side))
@@ -454,7 +443,7 @@ def cover_connected_bounded_tw(g, det, ceiling, td=None, pack_oracle=None):
 # -- disconnected patterns ----------------------------------------------------------
 
 
-def disconnected_pattern_ep(g, td, component_detectors, k, cap=100_000):
+def disconnected_pattern_ep(g, td, component_detectors, k):
     """Pack k disjoint unions (one witness per component family) or cover.
 
     Covers come from the deficient family: a tree cover of its decomposition
@@ -470,7 +459,7 @@ def disconnected_pattern_ep(g, td, component_detectors, k, cap=100_000):
     witness_lists = []
     trace_lists = []
     for det in component_detectors:
-        ws = det.enumerate(g, cap)
+        ws = det.enumerate(g, WITNESS_CAP)
         traces = []
         for w in ws:
             tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)

@@ -6,7 +6,7 @@ argument (any small deleted set leaves a model intact) into an algorithm
 that outputs an explicit, verifiable subdivision or minor model.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     InvalidParameter,
@@ -256,20 +256,8 @@ def thicken_subcubic(h, k):
 
 def thicken_minor(h, k):
     """Subcubic thickening with apices also replaced; models are minors."""
-    base = thicken_subcubic(h, k)
     # degree >= 4 apices are already trees; the rest replace trivially
-    out = Gadget(
-        graph=base.graph,
-        labels=base.labels,
-        k=base.k,
-        variant="minor",
-        pattern=base.pattern,
-        copies=base.copies,
-        columns=base.columns,
-        apex_groups=base.apex_groups,
-        ports=base.ports,
-        bundles=base.bundles,
-    )
+    out = replace(thicken_subcubic(h, k), variant="minor")
     assert all(out.graph.degree(v) <= 3 for v in out.graph.vertices)
     return out
 

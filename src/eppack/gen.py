@@ -1,6 +1,6 @@
 """Seeded random instance generators.
 
-Everything is driven by the splittable generator in rng, so identical
+Everything is driven by the SplitMix64 generator in rng, so identical
 parameters and seed give identical instances on any platform.
 """
 
@@ -80,23 +80,3 @@ def random_subtree_family(n, count, max_size, seed):
     from .trees import SubtreeFamily
 
     return SubtreeFamily(tree, tuple(members))
-
-
-def gen_random(kind, params, seed):
-    """Dispatcher used by the command line and the benchmarks."""
-    if kind == "gnp":
-        return gnp(params.get("n", 10), params.get("p", 0.3), seed)
-    if kind == "planar-stacked":
-        return planar_stacked(
-            params.get("n", 8), params.get("deletions", 0), seed
-        )
-    if kind == "tree":
-        return random_tree(params.get("n", 10), seed)
-    if kind == "subtree-family":
-        return random_subtree_family(
-            params.get("n", 10),
-            params.get("count", 5),
-            params.get("max_size", 4),
-            seed,
-        )
-    raise InvalidParameter(f"unknown generator kind {kind!r}")

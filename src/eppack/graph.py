@@ -322,6 +322,23 @@ class MultiGraph:
             parent[ru] = rv
         return True
 
+    def rooted(self, root):
+        """Children of each vertex reachable from ``root``, in a DFS tree.
+
+        Keys come in discovery order, so a parent precedes its children;
+        each children list is ascending.  On a tree every vertex appears.
+        """
+        children = {root: []}
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            for u in self.neighbors(t):
+                if u not in children:
+                    children[t].append(u)
+                    children[u] = []
+                    stack.append(u)
+        return children
+
     def spanning_forest_edges(self):
         """Edge ids of a spanning forest (smallest ids first)."""
         parent = {v: v for v in self._vertices}

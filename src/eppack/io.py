@@ -7,6 +7,7 @@ a write/read/write cycle is byte-identical.
 
 import json
 
+from .certificates import certificate_from_dict
 from .decomp import TreeDecomposition
 from .errors import InvalidParameter
 from .gadgets import Gadget, MinorModel, SubdivisionModel
@@ -23,6 +24,17 @@ def _data_lines(text):
         yield line
 
 
+def _ints(line, skip=0, count=None):
+    """The integers after the first ``skip`` tokens; ``count`` fixes how many."""
+    toks = line.split()[skip:]
+    if count is not None and len(toks) != count:
+        raise InvalidParameter(f"expected {count} integers in line {line!r}")
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise InvalidParameter(f"non-integer token in line {line!r}") from None
+
+
 # -- graphs ------------------------------------------------------------------
 
 
@@ -30,29 +42,27 @@ def parse_gr(text):
     lines = list(_data_lines(text))
     if not lines or not lines[0].startswith("p gr"):
         raise InvalidParameter("missing 'p gr' header")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise InvalidParameter("malformed 'p gr' header")
-    n, m = int(parts[2]), int(parts[3])
+    n, m = _ints(lines[0], skip=2, count=2)
     if len(lines) - 1 != m:
         raise InvalidParameter(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
-        u, v = (int(tok) for tok in line.split())
+        u, v = _ints(line, count=2)
         if not (1 <= u <= n and 1 <= v <= n):
             raise InvalidParameter(f"vertex out of range in line {line!r}")
         edges.append((u - 1, v - 1))
     return MultiGraph.from_edges(range(n), edges)
 
 
+def _edge_lines(edges, pos):
+    """Sorted ``a b`` lines, one per edge, with endpoints renumbered by ``pos``."""
+    pairs = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in edges.values())
+    return [f"{a} {b}" for a, b in pairs]
+
+
 def format_gr(g):
-    order = sorted(g.vertices)
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    pairs = sorted(
-        tuple(sorted((pos[u], pos[v]))) for u, v in g.edges.values()
-    )
-    lines = [f"p gr {g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in pairs]
+    pos = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
+    lines = [f"p gr {g.n} {g.m}", *_edge_lines(g.edges, pos)]
     return "\n".join(lines) + "\n"
 
 
@@ -66,43 +76,54 @@ def write_gr(g, path):
         fh.write(format_gr(g))
 
 
-# -- tree decompositions --------------------------------------------------------
+# -- bag files: tree decompositions and tree partitions ------------------------
 
 
-def parse_td(text):
+def _parse_bags(text, kind, header_len):
+    """Tree and bags of an ``s <kind>`` file, both indexed from 0.
+
+    The header holds ``header_len`` integers, the first being the number of
+    bags; then come ``b <bag> <vertex>...`` lines and tree-edge lines.
+    """
     lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("s td"):
-        raise InvalidParameter("missing 's td' header")
-    _, _, nbags, _width1, _n = lines[0].split()
-    nbags = int(nbags)
+    if not lines or not lines[0].startswith(f"s {kind}"):
+        raise InvalidParameter(f"missing 's {kind}' header")
+    nbags = _ints(lines[0], skip=2, count=header_len)[0]
     bags = {}
     tree_edges = []
     for line in lines[1:]:
-        toks = line.split()
-        if toks[0] == "b":
-            idx = int(toks[1]) - 1
-            bags[idx] = frozenset(int(t) - 1 for t in toks[2:])
+        if line.split()[0] == "b":
+            ids = _ints(line, skip=1)
+            if not ids:
+                raise InvalidParameter(f"bag line without an index: {line!r}")
+            bags[ids[0] - 1] = frozenset(v - 1 for v in ids[1:])
         else:
-            a, b = int(toks[0]) - 1, int(toks[1]) - 1
-            tree_edges.append((a, b))
+            a, b = _ints(line, count=2)
+            tree_edges.append((a - 1, b - 1))
     if set(bags) != set(range(nbags)):
         raise InvalidParameter("bag indices must be 1..#bags")
-    tree = MultiGraph.from_edges(range(nbags), tree_edges)
-    return TreeDecomposition(tree, bags)
+    return MultiGraph.from_edges(range(nbags), tree_edges), bags
+
+
+def _format_bags(header, nodes, bags, tree):
+    """Bag lines numbered from 1 in ``nodes`` order, then sorted tree edges."""
+    pos = {t: i + 1 for i, t in enumerate(nodes)}
+    lines = [header]
+    for t in nodes:
+        vs = " ".join(str(v + 1) for v in sorted(bags[t]))
+        lines.append(f"b {pos[t]} {vs}".rstrip())
+    lines += _edge_lines(tree.edges, pos)
+    return "\n".join(lines) + "\n"
+
+
+def parse_td(text):
+    return TreeDecomposition(*_parse_bags(text, "td", 3))
 
 
 def format_td(td, n):
     nodes = sorted(td.bags)
-    pos = {t: i + 1 for i, t in enumerate(nodes)}
-    lines = [f"s td {len(nodes)} {td.width() + 1} {n}"]
-    for t in nodes:
-        vs = " ".join(str(v + 1) for v in sorted(td.bags[t]))
-        lines.append(f"b {pos[t]} {vs}".rstrip())
-    pairs = sorted(
-        tuple(sorted((pos[a], pos[b]))) for a, b in td.tree.edges.values()
-    )
-    lines += [f"{a} {b}" for a, b in pairs]
-    return "\n".join(lines) + "\n"
+    header = f"s td {len(nodes)} {td.width() + 1} {n}"
+    return _format_bags(header, nodes, td.bags, td.tree)
 
 
 def read_td(path):
@@ -115,46 +136,15 @@ def write_td(td, n, path):
         fh.write(format_td(td, n))
 
 
-# -- tree partitions --------------------------------------------------------------
-
-
 def parse_tp(text):
-    lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("s tp"):
-        raise InvalidParameter("missing 's tp' header")
-    _, _, nbags, _n = lines[0].split()
-    nbags = int(nbags)
-    bags = {}
-    tree_edges = []
-    for line in lines[1:]:
-        toks = line.split()
-        if toks[0] == "b":
-            idx = int(toks[1]) - 1
-            bags[idx] = frozenset(int(t) - 1 for t in toks[2:])
-        else:
-            a, b = int(toks[0]) - 1, int(toks[1]) - 1
-            tree_edges.append((a, b))
-    if set(bags) != set(range(nbags)):
-        raise InvalidParameter("bag indices must be 1..#bags")
-    tree = MultiGraph.from_edges(range(nbags), tree_edges)
+    tree, bags = _parse_bags(text, "tp", 2)
     return TreePartition(tree, 0, bags)
 
 
 def format_tp(tp, n):
-    nodes = sorted(tp.bags)
-    # root must come out as bag 1
-    nodes.remove(tp.root)
-    nodes.insert(0, tp.root)
-    pos = {t: i + 1 for i, t in enumerate(nodes)}
-    lines = [f"s tp {len(nodes)} {n}"]
-    for t in nodes:
-        vs = " ".join(str(v + 1) for v in sorted(tp.bags[t]))
-        lines.append(f"b {pos[t]} {vs}".rstrip())
-    pairs = sorted(
-        tuple(sorted((pos[a], pos[b]))) for a, b in tp.tree.edges.values()
-    )
-    lines += [f"{a} {b}" for a, b in pairs]
-    return "\n".join(lines) + "\n"
+    # the root comes out as bag 1, which parse_tp takes as the root
+    nodes = [tp.root] + sorted(set(tp.bags) - {tp.root})
+    return _format_bags(f"s tp {len(nodes)} {n}", nodes, tp.bags, tp.tree)
 
 
 def read_tp(path):
@@ -174,25 +164,21 @@ def parse_family(text):
     lines = list(_data_lines(text))
     if not lines or not lines[0].startswith("t "):
         raise InvalidParameter("missing 't <n>' header")
-    n = int(lines[0].split()[1])
+    (n,) = _ints(lines[0], skip=1, count=1)
     tree_edges = []
     for line in lines[1 : n]:
-        a, b = (int(t) - 1 for t in line.split())
-        tree_edges.append((a, b))
+        a, b = _ints(line, count=2)
+        tree_edges.append((a - 1, b - 1))
     members = []
     for line in lines[n:]:
-        members.append(frozenset(int(t) - 1 for t in line.split()))
+        members.append(frozenset(v - 1 for v in _ints(line)))
     tree = MultiGraph.from_edges(range(n), tree_edges)
     return SubtreeFamily(tree, tuple(members))
 
 
 def format_family(fam):
-    n = fam.tree.n
-    lines = [f"t {n}"]
-    pairs = sorted(
-        tuple(sorted((u + 1, v + 1))) for u, v in fam.tree.edges.values()
-    )
-    lines += [f"{a} {b}" for a, b in pairs]
+    pos = {v: v + 1 for v in fam.tree.vertices}
+    lines = [f"t {fam.tree.n}", *_edge_lines(fam.tree.edges, pos)]
     for mem in fam.members:
         lines.append(" ".join(str(v + 1) for v in sorted(mem)))
     return "\n".join(lines) + "\n"
@@ -211,17 +197,26 @@ def write_family(fam, path):
 # -- certificates ---------------------------------------------------------------------
 
 
+def format_certificate(cert, bound_claimed, hypotheses_held):
+    """The JSON text of a certificate; a claim that is None is left out.
+
+    Every writer of certificates renders them through this function.
+    """
+    return json.dumps(cert.to_dict(bound_claimed, hypotheses_held), indent=1) + "\n"
+
+
 def write_certificate(cert, path, bound_claimed=None, hypotheses_held=None):
     with open(path, "w") as fh:
-        json.dump(cert.to_dict(bound_claimed, hypotheses_held), fh, indent=1)
-        fh.write("\n")
+        fh.write(format_certificate(cert, bound_claimed, hypotheses_held))
 
 
 def read_certificate(path):
-    from .certificates import certificate_from_dict
-
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameter(f"certificate is not JSON: {exc}") from None
+    return certificate_from_dict(d)
 
 
 # -- gadget metadata ----------------------------------------------------------------

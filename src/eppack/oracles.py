@@ -248,8 +248,8 @@ def exact_ecover_cycles(g):
 # -- fixed-subgraph packing / covering ----------------------------------------
 
 
-def _copies_with_elements(g, pattern, mode, copy_cap):
-    copies = enumerate_copies(g, pattern, cap=copy_cap)
+def _copies_with_elements(g, pattern, mode):
+    copies = enumerate_copies(g, pattern, cap=COPY_CAP)
     out = []
     for vs, es in copies:
         elems = vs if mode is Mode.VERTEX else es
@@ -267,14 +267,14 @@ def _greedy_disjoint(copies):
     return picked
 
 
-def exact_pack_subgraph(g, pattern, mode, budget=None, copy_cap=COPY_CAP):
+def exact_pack_subgraph(g, pattern, mode, budget=None):
     """Maximum A_x-disjoint packing of copies of a fixed pattern.
 
     Branches on a least-covered element: either some member contains it
     (one branch per candidate copy) or no member does.
     """
     counter = _Counter(budget or default_budget())
-    copies = _copies_with_elements(g, pattern, mode, copy_cap)
+    copies = _copies_with_elements(g, pattern, mode)
     per_copy = len(pattern.vertices) if mode is Mode.VERTEX else pattern.m
     if mode is Mode.EDGE and per_copy == 0:
         raise InvalidParameter("edge-mode packing needs a nontrivial pattern")
@@ -308,10 +308,10 @@ def exact_pack_subgraph(g, pattern, mode, budget=None, copy_cap=COPY_CAP):
     )
 
 
-def exact_cover_subgraph(g, pattern, mode, budget=None, copy_cap=COPY_CAP):
+def exact_cover_subgraph(g, pattern, mode, budget=None):
     """Minimum A_x hitting set destroying all copies of a fixed pattern."""
     counter = _Counter(budget or default_budget())
-    copies = _copies_with_elements(g, pattern, mode, copy_cap)
+    copies = _copies_with_elements(g, pattern, mode)
     # dedup, then drop supersets: hitting the subset hits them for free
     distinct = sorted(set(elems for _, elems in copies), key=sorted)
     elem_sets = [

@@ -32,10 +32,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def split(self):
-        """Child generator seeded from this stream."""
-        return SplitMix64(self.next_u64())
-
     def randrange(self, n):
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:
@@ -53,9 +49,6 @@ class SplitMix64:
     def random(self):
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) / (1 << 53)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
     def shuffle(self, xs):
         """In-place Fisher-Yates."""

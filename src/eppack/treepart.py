@@ -126,32 +126,6 @@ def bfs_layer_tp(g):
 # -- the inductive edge cover ----------------------------------------------------
 
 
-def _rooted(tp):
-    parent = {tp.root: None}
-    order = [tp.root]
-    stack = [tp.root]
-    while stack:
-        t = stack.pop()
-        for u in tp.tree.neighbors(t):
-            if u not in parent:
-                parent[u] = t
-                order.append(u)
-                stack.append(u)
-    children = {t: [] for t in parent}
-    for t, p in parent.items():
-        if p is not None:
-            children[p].append(t)
-    post = []
-
-    def walk(t):
-        for c in sorted(children[t]):
-            walk(c)
-        post.append(t)
-
-    walk(tp.root)
-    return children, post
-
-
 def inductive_edge_cover(g, tp, det, k):
     """k edge-disjoint witnesses, or an edge cover of size <= k*r*(d*r + 1).
 
@@ -169,7 +143,16 @@ def inductive_edge_cover(g, tp, det, k):
     r = tp_width(g, tp)
     d = det.delta_tilde_bound
 
-    children, post = _rooted(tp)
+    children = tp.tree.rooted(tp.root)
+    # postorder with children ascending, without recursion on deep trees:
+    # the reverse of a preorder that pops each ascending children list
+    post = []
+    stack = [tp.root]
+    while stack:
+        t = stack.pop()
+        post.append(t)
+        stack.extend(children[t])
+    post.reverse()
     subtree_vs = {}
     for t in post:
         acc = set(tp.bags[t])

@@ -36,20 +36,6 @@ class SubtreeFamily:
                 raise InvalidFamily(f"member {i} does not induce a subtree")
 
 
-def _depths(tree, root):
-    depth = {root: 0}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in tree.neighbors(v):
-            if u not in depth:
-                depth[u] = depth[v] + 1
-                order.append(u)
-                stack.append(u)
-    return depth
-
-
 def gallai(fam):
     """Equal-size subtree packing and vertex cover (exact min-max).
 
@@ -62,7 +48,10 @@ def gallai(fam):
     if not tree.vertices:
         raise InvalidFamily("empty host tree")
     root = min(tree.vertices)
-    depth = _depths(tree, root)
+    depth = {root: 0}
+    for v, kids in tree.rooted(root).items():
+        for u in kids:
+            depth[u] = depth[v] + 1
 
     tops = []
     for i, mem in enumerate(fam.members):

@@ -191,3 +191,38 @@ def test_verify_round_trip(tmp_path, triangle_file, capsys):
 def test_error_exit_code(capsys):
     assert main(["cycles", "-i", "/nonexistent/file.gr", "-k", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+TRIANGLE_GR = "p gr 3 3\n1 2\n1 3\n2 3\n"
+
+
+MALFORMED = {
+    "gr-header-token": ("cycles", "p gr 3 x\n"),
+    "gr-edge-token": ("cycles", "p gr 3 1\n1 x\n"),
+    "gr-edge-arity": ("cycles", "p gr 3 1\n1 2 3\n"),
+    "td-short-header": ("td", "s td 1 2\nb 1 1 2 3\n"),
+    "td-bag-token": ("td", "s td 1 3 3\nb 1 1 x 3\n"),
+    "tp-short-header": ("tp", "s tp 1\nb 1 1 2 3\n"),
+    "family-edge-token": ("family", "t 2\n1 x\n1\n"),
+    "cert-missing-keys": ("verify", '{"kind":"packing"}'),
+    "cert-wrong-type": ("verify", '{"kind":"cover","mode":"v","elements":[[1]]}'),
+    "cert-not-json": ("verify", "not json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    command, text = MALFORMED[case]
+    host = tmp_path / "host.gr"
+    host.write_text(TRIANGLE_GR)
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    argv = {
+        "cycles": ["cycles", "-i", str(bad), "-k", "1"],
+        "td": ["decomp", "validate", "-i", str(host), "-t", str(bad)],
+        "tp": ["tp", "validate", "-i", str(host), "-t", str(bad)],
+        "family": ["trees", "gallai", "-i", str(bad)],
+        "verify": ["verify", "-i", str(host), "-c", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -4,24 +4,40 @@
 ``reduce_low_degree`` and the uncut per-edge BFS ``shortest_cycle`` (the
 reference kernels in ``helpers``).  The deterministic tie-breaking is part of
 the contract, so today's certificates, traces, cycles and oracle node counts
-must equal the frozen ones exactly.  To regenerate on purpose, run
+must equal the frozen ones exactly.
+
+``tests/data/golden_formats.json`` freezes the exact text of the writers
+(graphs, tree decompositions in min-fill and nice form, tree partitions,
+subtree families, certificate JSON) and of the certificate-writing CLI
+commands, with their exit codes and stderr, on seeded ``gnp`` hosts.
+
+To regenerate both files on purpose, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import random_multigraph
 
+from eppack import io as eio
+from eppack.cli import main
 from eppack.cycles import DeleteVertex, ep_cycles, reduce_low_degree
-from eppack.gen import gnp
+from eppack.decomp import min_fill_td, to_nice
+from eppack.gen import gnp, random_subtree_family
 from eppack.graph import Mode, MultiGraph
 from eppack.oracles import exact_epack_cycles, exact_vcover_cycles, exact_vpack_cycles
 from eppack.rng import SplitMix64
+from eppack.treepart import bfs_layer_tp
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cycles.json"
+FORMATS_GOLDEN = Path(__file__).parent / "data" / "golden_formats.json"
 
 
 def _gnp_hosts():
@@ -116,6 +132,130 @@ SECTIONS = {
 }
 
 
+def _format_hosts():
+    for seed in range(12):
+        rng = SplitMix64(9000 + seed)
+        n = rng.randint(6, 12)
+        p = 0.2 + 0.3 * rng.random()
+        yield f"gnp({n},{p:.3f},{seed})", gnp(n, p, seed)
+
+
+def graph_text_section():
+    return {name: eio.format_gr(g) for name, g in _format_hosts()}
+
+
+def td_text_section():
+    out = {}
+    for name, g in _format_hosts():
+        td = min_fill_td(g)
+        out[f"{name} min-fill"] = eio.format_td(td, g.n)
+        out[f"{name} nice"] = eio.format_td(to_nice(g, td).to_td(), g.n)
+    return out
+
+
+def tp_text_section():
+    out = {}
+    for name, g in _format_hosts():
+        tp = bfs_layer_tp(g)
+        out[name] = eio.format_tp(tp, g.n)
+        # the root is written first, whatever its id
+        last = replace(tp, root=max(tp.bags))
+        out[f"{name} rooted at last bag"] = eio.format_tp(last, g.n)
+    return out
+
+
+def family_text_section():
+    out = {}
+    for seed in range(12):
+        n, count, size = 4 + seed, 2 + seed % 5, 1 + seed % 4
+        fam = random_subtree_family(n, count, size, seed)
+        out[f"random_subtree_family({n},{count},{size},{seed})"] = eio.format_family(fam)
+    return out
+
+
+def certificate_text_section():
+    """Text of ``io.write_certificate``, with and without the claims."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+
+        def text(cert, *claims):
+            eio.write_certificate(cert, path, *claims)
+            return path.read_text()
+
+        for name, g in _format_hosts():
+            for mode in Mode:
+                for k in (1, 3):
+                    res = ep_cycles(g, k, mode)
+                    rep = res.report
+                    kind = "packing" if res.packing is not None else "cover"
+                    key = f"{name} {mode.value} k={k} {kind}"
+                    out[f"{key} claims"] = text(res.certificate, rep.bound_claimed,
+                                                rep.hypotheses_held)
+                    out[key] = text(res.certificate)
+            out[f"{name} vpack witness"] = text(exact_vpack_cycles(g).witness)
+            out[f"{name} vcover witness"] = text(exact_vcover_cycles(g).witness)
+    return out
+
+
+def cli_text_section():
+    """Exit code, written file and stderr of the certificate-writing commands."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, g in _format_hosts():
+            gr, td, tp, result = tmp / "h.gr", tmp / "h.td", tmp / "h.tp", tmp / "out"
+            eio.write_gr(g, gr)
+            eio.write_td(min_fill_td(g), g.n, td)
+            eio.write_tp(bfs_layer_tp(g), g.n, tp)
+            runs = {
+                "cycles v k=1": ["cycles", "-i", gr, "-k", "1"],
+                "cycles e k=3": ["cycles", "-i", gr, "-k", "3", "--mode", "e"],
+                "oracle vcover-cycles": ["oracle", "vcover-cycles", "-i", gr],
+                "decomp nice": ["decomp", "nice", "-i", gr, "-t", td],
+                "decomp cover": ["decomp", "cover", "-i", gr, "-t", td],
+                "decomp disconnected k=1": [
+                    "decomp", "disconnected", "-i", gr, "-t", td],
+                "decomp disconnected k=2 triangles": [
+                    "decomp", "disconnected", "-i", gr, "-t", td, "-k", "2",
+                    "--patterns", "triangles"],
+                "tp cover k=1": ["tp", "cover", "-i", gr, "-t", tp],
+                "tp cover k=2": ["tp", "cover", "-i", gr, "-t", tp, "-k", "2"],
+            }
+            for label, argv in runs.items():
+                result.unlink(missing_ok=True)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv] + ["-o", str(result)])
+                written = result.read_text() if result.exists() else None
+                out[f"{name} {label}"] = [code, written, err.getvalue()]
+    return out
+
+
+FORMAT_SECTIONS = {
+    "format_gr": graph_text_section,
+    "format_td": td_text_section,
+    "format_tp": tp_text_section,
+    "format_family": family_text_section,
+    "certificate": certificate_text_section,
+    "cli": cli_text_section,
+}
+
+
+@pytest.fixture(scope="module")
+def golden_formats():
+    return json.loads(FORMATS_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("section", sorted(FORMAT_SECTIONS))
+def test_formats_match_golden(golden_formats, section):
+    got = FORMAT_SECTIONS[section]()
+    want = golden_formats[section]
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -130,10 +270,11 @@ def test_matches_golden(golden, section):
         assert got[key] == want[key], key
 
 
-if __name__ == "__main__":
-    data = {name: fn() for name, fn in SECTIONS.items()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w") as fh:
+def _write_golden(path, sections):
+    """One row per line, so a changed row shows as a one-line diff."""
+    data = {name: fn() for name, fn in sections.items()}
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w") as fh:
         fh.write("{\n")
         for i, (name, rows) in enumerate(data.items()):
             fh.write(f" {json.dumps(name)}: {{\n")
@@ -142,3 +283,8 @@ if __name__ == "__main__":
                 fh.write(f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}{sep}\n")
             fh.write(" }" + ("," if i + 1 < len(data) else "") + "\n")
         fh.write("}\n")
+
+
+if __name__ == "__main__":
+    _write_golden(GOLDEN, SECTIONS)
+    _write_golden(FORMATS_GOLDEN, FORMAT_SECTIONS)
