@@ -132,10 +132,15 @@ class EPOutcome:
         return self.packing if self.packing is not None else self.cover
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagnostics:
-    ok: bool
+    """A check's verdict: ok exactly when no violation was found."""
+
     violations: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.violations
 
     def __bool__(self):
         return self.ok
@@ -339,51 +344,34 @@ def builtin_detectors():
 
 def verify_packing(g, det, packing):
     """Recheck a packing: membership, witness-hood, pairwise disjointness."""
-    diags = Diagnostics(True)
     for i, w in enumerate(packing.members):
         stray_v = w.vertices - g.vertices
         if stray_v:
-            diags.ok = False
-            diags.violations.append(("member-vertices-outside-host", i, sorted(stray_v)))
-            return diags
+            return Diagnostics([("member-vertices-outside-host", i, sorted(stray_v))])
         stray_e = w.edges - set(g.edges)
         if stray_e:
-            diags.ok = False
-            diags.violations.append(("member-edges-outside-host", i, sorted(stray_e)))
-            return diags
+            return Diagnostics([("member-edges-outside-host", i, sorted(stray_e))])
         for eid in w.edges:
             u, v = g.endpoints(eid)
             if u not in w.vertices or v not in w.vertices:
-                diags.ok = False
-                diags.violations.append(("member-edge-endpoint-missing", i, eid))
-                return diags
+                return Diagnostics([("member-edge-endpoint-missing", i, eid)])
         if det.find(w.subgraph(g)) is None:
-            diags.ok = False
-            diags.violations.append(("member-not-a-witness", i))
-            return diags
+            return Diagnostics([("member-not-a-witness", i)])
     seen = {}
     for i, w in enumerate(packing.members):
         for x in sorted(w.elements(packing.mode)):
             if x in seen:
-                diags.ok = False
-                diags.violations.append(("members-not-disjoint", seen[x], i, x))
-                return diags
+                return Diagnostics([("members-not-disjoint", seen[x], i, x)])
             seen[x] = i
-    return diags
+    return Diagnostics()
 
 
 def verify_cover(g, det, cover):
     """Recheck a cover: element validity and witness-freeness after deletion."""
-    diags = Diagnostics(True)
-    universe = g.elements(cover.mode)
-    stray = cover.elements - universe
+    stray = cover.elements - g.elements(cover.mode)
     if stray:
-        diags.ok = False
-        diags.violations.append(("cover-elements-outside-host", sorted(stray)))
-        return diags
-    residue = g.delete(cover.elements, cover.mode)
-    w = det.find(residue)
+        return Diagnostics([("cover-elements-outside-host", sorted(stray))])
+    w = det.find(g.delete(cover.elements, cover.mode))
     if w is not None:
-        diags.ok = False
-        diags.violations.append(("witness-survives-cover", sorted(w.vertices)))
-    return diags
+        return Diagnostics([("witness-survives-cover", sorted(w.vertices))])
+    return Diagnostics()

@@ -11,7 +11,12 @@ import sys
 
 from . import bench as bench_mod
 from . import gadgets, io, oracles, treepart
-from .certificates import builtin_detectors, verify_cover, verify_packing
+from .certificates import (
+    PackingCertificate,
+    builtin_detectors,
+    verify_cover,
+    verify_packing,
+)
 from .cycles import ep_cycles
 from .decomp import (
     Ceiling,
@@ -225,8 +230,6 @@ def cmd_verify(args):
     g = io.read_gr(args.input)
     cert = io.read_certificate(args.certificate)
     det = builtin_detectors()[args.patterns]
-    from .certificates import PackingCertificate
-
     if isinstance(cert, PackingCertificate):
         check = verify_packing(g, det, cert)
     else:

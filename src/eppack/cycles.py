@@ -36,12 +36,14 @@ class ShortCycle:
 
 @dataclass(frozen=True)
 class LowDegreeVertex:
+    cycle: Cycle  # the shortest cycle, longer than the threshold
     vertex: int
     degree: int
 
 
 @dataclass(frozen=True)
 class GirthCertificate:
+    cycle: Cycle  # a shortest cycle, of length girth
     min_degree: int
     girth: int
     threshold: int
@@ -68,8 +70,8 @@ def classify(g, q, c):
     degs = g.degrees()
     low = [v for v in sorted(degs) if degs[v] <= 2]
     if low:
-        return LowDegreeVertex(low[0], degs[low[0]])
-    return GirthCertificate(min(degs.values()), len(cyc), threshold)
+        return LowDegreeVertex(cyc, low[0], degs[low[0]])
+    return GirthCertificate(cyc, min(degs.values()), len(cyc), threshold)
 
 
 # -- low-degree reduction --------------------------------------------------------
@@ -113,22 +115,6 @@ class ReductionTrace:
                 raise AssertionError("trace replay mismatch")
             verts.insert(i + 1, ev.vertex)
         return Cycle(tuple(verts), tuple(eids))
-
-    def replay(self, g):
-        """Reproduce the reduced graph from the original."""
-        h = g
-        for ev in self.events:
-            if isinstance(ev, DeleteVertex):
-                h = h.delete_vertices({ev.vertex})
-            else:
-                edges = {
-                    eid: uv
-                    for eid, uv in h.edges.items()
-                    if eid not in (ev.edge_a, ev.edge_b)
-                }
-                edges[ev.replacement] = (ev.x, ev.z)
-                h = type(h)(h.vertices - {ev.vertex}, edges)
-        return h
 
 
 def reduce_low_degree(g):
@@ -209,15 +195,13 @@ def ep_cycles(g, k, mode, c=4.0):
     residue = g
     while True:
         reduced, trace = reduce_low_degree(residue)
-        cyc = reduced.shortest_cycle()
-        if cyc is None:
+        verdict = classify(reduced, 3 * k, c)
+        if isinstance(verdict, Forest):
             break
-        if len(cyc) > threshold:
+        cyc = verdict.cycle
+        if not isinstance(verdict, ShortCycle):
             events.append(
-                (
-                    "high-girth",
-                    {"girth": len(cyc), "threshold": threshold},
-                )
+                ("high-girth", {"girth": len(cyc), "threshold": threshold})
             )
         expanded = trace.expand_cycle(cyc)
         harvested.append(expanded)

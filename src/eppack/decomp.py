@@ -17,7 +17,7 @@ from .errors import (
     OracleFailure,
     ParameterEstimateUnavailable,
 )
-from .graph import Mode, MultiGraph
+from .graph import Mode, MultiGraph, postorder, subtree_unions
 from .trees import SubtreeFamily, gallai, rs_selection
 
 EXACT_TD_MAX_N = 15  # the subset DP takes 2^n memory and time
@@ -36,34 +36,22 @@ class TreeDecomposition:
 
 def validate_td(g, td):
     """Check the three decomposition conditions, naming the first failure."""
-    diags = Diagnostics(True)
     if set(td.bags) != set(td.tree.vertices):
-        diags.ok = False
-        diags.violations.append(("bags-vs-tree-mismatch",))
-        return diags
+        return Diagnostics([("bags-vs-tree-mismatch",)])
     if td.tree.vertices and (not td.tree.is_forest() or not td.tree.is_connected()):
-        diags.ok = False
-        diags.violations.append(("decomposition-tree-not-a-tree",))
-        return diags
-    covered = set().union(*td.bags.values()) if td.bags else set()
-    missing = g.vertices - covered
+        return Diagnostics([("decomposition-tree-not-a-tree",)])
+    missing = g.vertices - set().union(*td.bags.values())
     if missing:
-        diags.ok = False
-        diags.violations.append(("vertex-in-no-bag", sorted(missing)))
-        return diags
+        return Diagnostics([("vertex-in-no-bag", sorted(missing))])
     for eid in sorted(g.edges):
         u, v = g.endpoints(eid)
         if not any(u in b and v in b for b in td.bags.values()):
-            diags.ok = False
-            diags.violations.append(("edge-in-no-bag", eid, (u, v)))
-            return diags
+            return Diagnostics([("edge-in-no-bag", eid, (u, v))])
     for v in sorted(g.vertices):
         nodes = {t for t, b in td.bags.items() if v in b}
         if nodes and not td.tree.induced(nodes).is_connected():
-            diags.ok = False
-            diags.violations.append(("bags-of-vertex-disconnected", v))
-            return diags
-    return diags
+            return Diagnostics([("bags-of-vertex-disconnected", v)])
+    return Diagnostics()
 
 
 # -- construction from elimination orders --------------------------------------
@@ -209,27 +197,17 @@ class NiceTreeDecomposition:
     nodes: dict  # id -> NiceNode
     root: int
 
+    def _children(self):
+        return {t: node.children for t, node in self.nodes.items()}
+
     def postorder(self):
-        out = []
-
-        def walk(t):
-            for c in self.nodes[t].children:
-                walk(c)
-            out.append(t)
-
-        walk(self.root)
-        return out
+        return postorder(self._children(), self.root)
 
     def subtree_vertices(self):
         """id -> union of bags in the node's subtree."""
-        out = {}
-        for t in self.postorder():
-            node = self.nodes[t]
-            acc = set(node.bag)
-            for c in node.children:
-                acc |= out[c]
-            out[t] = frozenset(acc)
-        return out
+        children = self._children()
+        bags = {t: node.bag for t, node in self.nodes.items()}
+        return subtree_unions(children, postorder(children, self.root), bags)
 
     def width(self):
         return max((len(n.bag) for n in self.nodes.values()), default=0) - 1
@@ -271,20 +249,10 @@ def to_nice(g, td):
     if not check:
         raise InvalidDecomposition(f"invalid decomposition: {check.violations}")
     nodes = {}
-    counter = [0]
 
     def new(kind, bag, children, vertex=None):
-        nid = counter[0]
-        counter[0] += 1
+        nid = len(nodes)
         nodes[nid] = NiceNode(kind, frozenset(bag), tuple(children), vertex)
-        return nid
-
-    def chain_up_from_base(bag):
-        nid = new("base", frozenset(), ())
-        cur = set()
-        for v in sorted(bag):
-            cur.add(v)
-            nid = new("introduce", set(cur), (nid,), v)
         return nid
 
     def adapt(nid, bag_from, bag_to):
@@ -303,19 +271,20 @@ def to_nice(g, td):
 
     troot = min(td.tree.vertices)
     children = td.tree.rooted(troot)
-
-    def build(t):
+    parent_bag = {c: td.bags[t] for t, kids in children.items() for c in kids}
+    parent_bag[troot] = frozenset()
+    # a node's chain, topped by its adaptation to its parent's bag, is made
+    # right after its children's: the ids a depth-first build would give
+    top = {}
+    for t in postorder(children, troot):
         bag = td.bags[t]
-        if not children[t]:
-            return chain_up_from_base(bag)
-        tops = [adapt(build(c), td.bags[c], bag) for c in children[t]]
+        tops = [top.pop(c) for c in children[t]]
+        if not tops:
+            tops = [adapt(new("base", frozenset(), ()), frozenset(), bag)]
         while len(tops) > 1:
-            merged = new("join", bag, (tops[0], tops[1]))
-            tops = [merged] + tops[2:]
-        return tops[0]
-
-    top = build(troot)
-    root = adapt(top, td.bags[troot], frozenset())
+            tops = [new("join", bag, (tops[0], tops[1]))] + tops[2:]
+        top[t] = adapt(tops[0], bag, parent_bag[t])
+    root = top[troot]
     if nodes[root].bag != frozenset():
         raise AssertionError("root bag not empty")
     ntd = NiceTreeDecomposition(nodes, root)
@@ -502,9 +471,7 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
     if tree_cover is None:
         elements = frozenset()
     else:
-        elements = frozenset().union(
-            *(td.bags[t] for t in tree_cover.elements)
-        ) if tree_cover.elements else frozenset()
+        elements = frozenset().union(*(td.bags[t] for t in tree_cover.elements))
     cover = CoverCertificate(Mode.VERTEX, elements)
     report = QualityReport(
         bound_claimed=max_bag * (need - 1),

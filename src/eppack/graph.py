@@ -306,21 +306,8 @@ class MultiGraph:
         return len(self.components()) <= 1
 
     def is_forest(self):
-        # union-find over edges; a parallel pair already closes a cycle
-        parent = {v: v for v in self._vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for u, v in self._edges.values():
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        # a parallel pair or any other cycle leaves an edge out of the forest
+        return len(self.spanning_forest_edges()) == self.m
 
     def rooted(self, root):
         """Children of each vertex reachable from ``root``, in a DFS tree.
@@ -445,3 +432,30 @@ class MultiGraph:
     def __hash__(self):
         return hash((self._vertices, tuple(sorted(self._edges.items()))))
 
+
+def postorder(children, root):
+    """Nodes of a rooted tree, each after its children, children in list order.
+
+    ``children`` maps every node to its list of children, as
+    ``MultiGraph.rooted`` returns it.  No recursion, so any depth is fine:
+    the result is the reverse of a preorder that visits children last first.
+    """
+    post = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        post.append(t)
+        stack.extend(children[t])
+    post.reverse()
+    return post
+
+
+def subtree_unions(children, post, bags):
+    """Node -> union of the bags in its subtree; ``post`` is a postorder."""
+    out = {}
+    for t in post:
+        acc = set(bags[t])
+        for c in children[t]:
+            acc |= out[c]
+        out[t] = frozenset(acc)
+    return out

@@ -16,6 +16,22 @@ from .treepart import TreePartition
 from .trees import SubtreeFamily
 
 
+def _read_text(path):
+    """The text of a file; InvalidParameter if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path, what):
+    try:
+        return json.loads(_read_text(path))
+    except ValueError as exc:
+        raise InvalidParameter(f"{what} is not JSON: {exc}") from None
+
+
 def _data_lines(text):
     for raw in text.splitlines():
         line = raw.strip()
@@ -67,8 +83,7 @@ def format_gr(g):
 
 
 def read_gr(path):
-    with open(path) as fh:
-        return parse_gr(fh.read())
+    return parse_gr(_read_text(path))
 
 
 def write_gr(g, path):
@@ -127,8 +142,7 @@ def format_td(td, n):
 
 
 def read_td(path):
-    with open(path) as fh:
-        return parse_td(fh.read())
+    return parse_td(_read_text(path))
 
 
 def write_td(td, n, path):
@@ -148,8 +162,7 @@ def format_tp(tp, n):
 
 
 def read_tp(path):
-    with open(path) as fh:
-        return parse_tp(fh.read())
+    return parse_tp(_read_text(path))
 
 
 def write_tp(tp, n, path):
@@ -185,8 +198,7 @@ def format_family(fam):
 
 
 def read_family(path):
-    with open(path) as fh:
-        return parse_family(fh.read())
+    return parse_family(_read_text(path))
 
 
 def write_family(fam, path):
@@ -211,12 +223,7 @@ def write_certificate(cert, path, bound_claimed=None, hypotheses_held=None):
 
 
 def read_certificate(path):
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as exc:
-            raise InvalidParameter(f"certificate is not JSON: {exc}") from None
-    return certificate_from_dict(d)
+    return certificate_from_dict(_read_json(path, "certificate"))
 
 
 # -- gadget metadata ----------------------------------------------------------------
@@ -288,8 +295,12 @@ def write_gadget_meta(gadget, path):
 
 
 def read_gadget_meta(path):
-    with open(path) as fh:
-        return gadget_from_dict(json.load(fh))
+    """Gadget from its ``.meta`` file; InvalidParameter if it is malformed."""
+    d = _read_json(path, "gadget metadata")
+    try:
+        return gadget_from_dict(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed gadget metadata: {exc!r}") from None
 
 
 def model_to_dict(model):

@@ -147,7 +147,7 @@ def enumerate_cycles(g, cap=None):
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
 
 
-def connected_subsets(g, max_size=None, cap=None):
+def connected_subsets(g, cap=None):
     """All connected vertex subsets, grown from their smallest member."""
     out = []
     verts = sorted(g.vertices)
@@ -159,8 +159,6 @@ def connected_subsets(g, max_size=None, cap=None):
             out.append(subset)
             if cap is not None and len(out) > cap:
                 raise BudgetExceeded(f"more than {cap} connected subsets")
-            if max_size is not None and len(subset) >= max_size:
-                continue
             frontier = sorted(
                 {
                     u

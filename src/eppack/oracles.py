@@ -14,7 +14,7 @@ from .certificates import (
 )
 from .errors import BudgetExceeded, InvalidParameter
 from .graph import Cycle, Mode
-from .iso import enumerate_copies
+from .iso import enumerate_copies, find_copy
 
 DEFAULT_NODE_CAP = 10_000_000
 COPY_CAP = 100_000
@@ -364,8 +364,6 @@ def greedy_subgraph_ep(g, pattern, mode):
     """
     if mode is Mode.EDGE and pattern.m == 0:
         raise InvalidParameter("edge mode needs a nontrivial pattern")
-    from .iso import find_copy
-
     members = []
     residue = g
     while True:
@@ -375,7 +373,7 @@ def greedy_subgraph_ep(g, pattern, mode):
         w = PatternWitness(got[0], got[1])
         members.append(w)
         residue = residue.delete(w.elements(mode), mode)
-    cover_elems = frozenset().union(*(w.elements(mode) for w in members)) if members else frozenset()
+    cover_elems = frozenset().union(*(w.elements(mode) for w in members))
     return (
         PackingCertificate(mode, tuple(members)),
         CoverCertificate(mode, cover_elems),

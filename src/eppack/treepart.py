@@ -11,7 +11,7 @@ from .certificates import (
     QualityReport,
 )
 from .errors import InvalidParameter, InvalidPartition
-from .graph import Mode, MultiGraph
+from .graph import Mode, MultiGraph, postorder, subtree_unions
 
 
 @dataclass(frozen=True)
@@ -23,41 +23,26 @@ class TreePartition:
 
 def validate_tp(g, tp):
     """Partition property plus the within-bag-or-across-tree-edge condition."""
-    diags = Diagnostics(True)
     if set(tp.bags) != set(tp.tree.vertices) or tp.root not in tp.bags:
-        diags.ok = False
-        diags.violations.append(("bags-vs-tree-mismatch",))
-        return diags
+        return Diagnostics([("bags-vs-tree-mismatch",)])
     if not tp.tree.is_forest() or not tp.tree.is_connected():
-        diags.ok = False
-        diags.violations.append(("partition-tree-not-a-tree",))
-        return diags
+        return Diagnostics([("partition-tree-not-a-tree",)])
     seen = set()
     for t in sorted(tp.bags):
         overlap = tp.bags[t] & seen
         if overlap:
-            diags.ok = False
-            diags.violations.append(("bags-overlap", t, sorted(overlap)))
-            return diags
+            return Diagnostics([("bags-overlap", t, sorted(overlap))])
         seen |= tp.bags[t]
     if seen != g.vertices:
-        diags.ok = False
-        diags.violations.append(
-            ("bags-miss-vertices", sorted(g.vertices - seen))
-        )
-        return diags
-    if tp.tree.n == 1:
-        return diags
+        return Diagnostics([("bags-miss-vertices", sorted(g.vertices - seen))])
     home = {v: t for t, bag in tp.bags.items() for v in bag}
     tree_pairs = {tuple(sorted(uv)) for uv in tp.tree.edges.values()}
     for eid in sorted(g.edges):
         u, v = g.endpoints(eid)
         tu, tv = home[u], home[v]
         if tu != tv and tuple(sorted((tu, tv))) not in tree_pairs:
-            diags.ok = False
-            diags.violations.append(("edge-crosses-non-adjacent-bags", eid))
-            return diags
-    return diags
+            return Diagnostics([("edge-crosses-non-adjacent-bags", eid)])
+    return Diagnostics()
 
 
 def tp_width(g, tp):
@@ -144,21 +129,8 @@ def inductive_edge_cover(g, tp, det, k):
     d = det.delta_tilde_bound
 
     children = tp.tree.rooted(tp.root)
-    # postorder with children ascending, without recursion on deep trees:
-    # the reverse of a preorder that pops each ascending children list
-    post = []
-    stack = [tp.root]
-    while stack:
-        t = stack.pop()
-        post.append(t)
-        stack.extend(children[t])
-    post.reverse()
-    subtree_vs = {}
-    for t in post:
-        acc = set(tp.bags[t])
-        for c in children[t]:
-            acc |= subtree_vs[c]
-        subtree_vs[t] = frozenset(acc)
+    post = postorder(children, tp.root)
+    subtree_vs = subtree_unions(children, post, tp.bags)
 
     members = []
     cut_all = set()

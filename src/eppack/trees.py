@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .certificates import (
     CoverCertificate,
     PackingCertificate,
+    PatternDetector,
     PatternWitness,
 )
 from .errors import BudgetExceeded, InvalidFamily, InvalidParameter
@@ -87,8 +88,6 @@ def gallai(fam):
 
 def family_detector(fam):
     """Detector whose witnesses are the family members still intact."""
-    from .certificates import PatternDetector
-
     def find(g):
         for mem in fam.members:
             if mem <= g.vertices:

@@ -8,6 +8,8 @@ logic.
 import itertools
 from collections import deque
 
+from hypothesis import strategies as st
+
 from eppack.cycles import DeleteVertex, ReductionTrace, Suppress
 from eppack.graph import Mode, MultiGraph, _canonical_cycle
 from eppack.iso import enumerate_cycles
@@ -78,6 +80,26 @@ def from_networkx(nxg):
     pos = {v: i for i, v in enumerate(nodes)}
     edges = [(pos[u], pos[v]) for u, v in nxg.edges]
     return MultiGraph.from_edges(range(len(nodes)), edges)
+
+
+@st.composite
+def multigraphs(draw, max_n=10, max_pairs=14, simple=False):
+    """Loopless graphs with scattered vertex ids and unordered edge ids;
+    unless ``simple``, a drawn pair may come in up to three parallel copies."""
+    verts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_n, unique=True))
+    pairs = []
+    if len(verts) > 1:
+        ends = st.sampled_from(verts)
+        pair = st.tuples(ends, ends).filter(lambda uv: uv[0] != uv[1])
+        if simple:
+            pairs = draw(st.lists(pair, max_size=max_pairs, unique_by=frozenset))
+        else:
+            for uv, copies in draw(st.lists(st.tuples(pair, st.integers(1, 3)),
+                                            max_size=max_pairs)):
+                pairs += [uv] * copies
+    eids = draw(st.lists(st.integers(0, 4 * max_pairs), min_size=len(pairs),
+                         max_size=len(pairs), unique=True))
+    return MultiGraph(verts, dict(zip(eids, pairs)))
 
 
 def random_multigraph(rng, max_n=9, max_m=16):
@@ -203,3 +225,20 @@ def ref_shortest_cycle(g):
             continue
         consider(verts, eids + [eid])
     return best
+
+
+def replay(trace, g):
+    """Reproduce the reduced graph from the original by replaying ``trace``."""
+    h = g
+    for ev in trace.events:
+        if isinstance(ev, DeleteVertex):
+            h = h.delete_vertices({ev.vertex})
+        else:
+            edges = {
+                eid: uv
+                for eid, uv in h.edges.items()
+                if eid not in (ev.edge_a, ev.edge_b)
+            }
+            edges[ev.replacement] = (ev.x, ev.z)
+            h = type(h)(h.vertices - {ev.vertex}, edges)
+    return h

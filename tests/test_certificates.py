@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import multigraphs
 
 from eppack.certificates import (
     CoverCertificate,
@@ -15,8 +19,10 @@ from eppack.certificates import (
     verify_cover,
     verify_packing,
 )
+from eppack.cycles import ep_cycles
 from eppack.errors import BudgetExceeded, InvalidParameter
 from eppack.graph import Mode, MultiGraph
+from eppack.oracles import exact_vcover_cycles
 
 
 def test_witness_subgraph_and_elements():
@@ -154,3 +160,51 @@ def test_verify_cover():
     assert verify_cover(
         MultiGraph.path_graph(5), det, CoverCertificate(Mode.VERTEX, frozenset())
     )
+
+
+def _violation(check):
+    """The first violation's name, or None; a verdict is true iff it has none."""
+    assert bool(check) == check.ok == (not check.violations)
+    return check.violations[0][0] if check.violations else None
+
+
+TWO_TRIANGLES = MultiGraph.from_edges(
+    range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+)
+
+
+@settings(max_examples=200)
+@given(multigraphs(max_n=8, max_pairs=8), st.sampled_from(list(Mode)))
+@example(TWO_TRIANGLES, Mode.VERTEX)
+@example(MultiGraph.theta(4), Mode.EDGE)
+def test_verifiers_reject_mutated_certificates(g, mode):
+    det = cycles_detector()
+    foreign = max([*g.vertices, *g.edges]) + 1
+
+    cover = exact_vcover_cycles(g).witness
+    assert _violation(verify_cover(g, det, cover)) is None
+    for x in cover.elements:  # a minimum cover needs every element
+        dropped = CoverCertificate(cover.mode, cover.elements - {x})
+        assert _violation(verify_cover(g, det, dropped)) == "witness-survives-cover"
+    stray = CoverCertificate(mode, frozenset({foreign}))
+    assert _violation(verify_cover(g, det, stray)) == "cover-elements-outside-host"
+
+    packing = ep_cycles(g, 2, mode).packing
+    if packing is None:
+        return
+    assert _violation(verify_packing(g, det, packing)) is None
+    a, b = packing.members
+
+    def mutated(*members):
+        return verify_packing(g, det, PackingCertificate(mode, members))
+
+    wa = PatternWitness(a.vertices | {foreign}, a.edges)
+    assert _violation(mutated(wa, b)) == "member-vertices-outside-host"
+    wa = PatternWitness(a.vertices, a.edges | {foreign})
+    assert _violation(mutated(wa, b)) == "member-edges-outside-host"
+    x = min(a.elements(mode))
+    if mode is Mode.VERTEX:
+        wb = PatternWitness(b.vertices | {x}, b.edges)
+    else:
+        wb = PatternWitness(b.vertices | set(g.endpoints(x)), b.edges | {x})
+    assert _violation(mutated(a, wb)) == "members-not-disjoint"

@@ -207,6 +207,9 @@ MALFORMED = {
     "cert-missing-keys": ("verify", '{"kind":"packing"}'),
     "cert-wrong-type": ("verify", '{"kind":"cover","mode":"v","elements":[[1]]}'),
     "cert-not-json": ("verify", "not json"),
+    "gr-not-utf8": ("cycles", b"p gr 3 1\n1 2\xff\n"),
+    "meta-not-json": ("gadget", "not json"),
+    "meta-missing-keys": ("gadget", '{"k": 2}'),
 }
 
 
@@ -216,13 +219,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     host = tmp_path / "host.gr"
     host.write_text(TRIANGLE_GR)
     bad = tmp_path / "bad"
-    bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
     argv = {
         "cycles": ["cycles", "-i", str(bad), "-k", "1"],
         "td": ["decomp", "validate", "-i", str(host), "-t", str(bad)],
         "tp": ["tp", "validate", "-i", str(host), "-t", str(bad)],
         "family": ["trees", "gallai", "-i", str(bad)],
         "verify": ["verify", "-i", str(host), "-c", str(bad)],
+        "gadget": ["gadget", "route", "-i", str(bad), "-x", "0"],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

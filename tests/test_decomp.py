@@ -103,6 +103,30 @@ def test_balanced_separation_properties():
             assert 3 * det.exact_vpack(g.induced(side)) <= 2 * k
 
 
+def test_deep_trees_need_no_recursion():
+    # a path ending in a triangle: its decomposition is a path of about n
+    # bags, so a walk that recursed once per level would overflow the stack
+    n = 1500
+    g = MultiGraph.from_edges(
+        range(n), [(i, i + 1) for i in range(n - 1)] + [(n - 3, n - 1)]
+    )
+    td = min_fill_td(g)
+    ntd = to_nice(g, td)
+    assert ntd.width() == td.width() == 2
+    post = ntd.postorder()
+    pos = {t: i for i, t in enumerate(post)}
+    assert len(pos) == len(ntd.nodes) and post[-1] == ntd.root
+    assert all(pos[c] < pos[t] for t, node in ntd.nodes.items() for c in node.children)
+
+    def cycle_rank(h):
+        return h.m - h.n + len(h.components())
+
+    sep = balanced_separation(g, ntd, cycle_rank)
+    assert sep.validate(g) and sep.order <= td.width() + 1
+    for side in (sep.a - sep.b, sep.b - sep.a):
+        assert 3 * cycle_rank(g.induced(side)) <= 2
+
+
 def test_ceiling_check():
     assert Ceiling(lambda k: 3 * k).check()
     assert not Ceiling(lambda k: 10 - k).check()

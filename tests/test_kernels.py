@@ -8,30 +8,10 @@ reduced graph (edge order included) and the same canonical cycle.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_reduce_low_degree, ref_shortest_cycle
+from helpers import multigraphs, ref_reduce_low_degree, ref_shortest_cycle
 
 from eppack.cycles import reduce_low_degree
 from eppack.graph import MultiGraph
-
-
-@st.composite
-def multigraphs(draw, max_n=10, max_pairs=14, simple=False):
-    """Loopless graphs with scattered vertex ids and unordered edge ids;
-    unless ``simple``, a drawn pair may come in up to three parallel copies."""
-    verts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_n, unique=True))
-    pairs = []
-    if len(verts) > 1:
-        ends = st.sampled_from(verts)
-        pair = st.tuples(ends, ends).filter(lambda uv: uv[0] != uv[1])
-        if simple:
-            pairs = draw(st.lists(pair, max_size=max_pairs, unique_by=frozenset))
-        else:
-            for uv, copies in draw(st.lists(st.tuples(pair, st.integers(1, 3)),
-                                            max_size=max_pairs)):
-                pairs += [uv] * copies
-    eids = draw(st.lists(st.integers(0, 4 * max_pairs), min_size=len(pairs),
-                         max_size=len(pairs), unique=True))
-    return MultiGraph(verts, dict(zip(eids, pairs)))
 
 
 # A lone triangle reduces to a 2-cycle; which pair survives depends on the
