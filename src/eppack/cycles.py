@@ -97,6 +97,22 @@ class Suppress:
 class ReductionTrace:
     events: tuple
 
+    def original_edges(self, cycle):
+        """One original edge per edge of a reduced cycle.
+
+        A replacement edge stands for its ``edge_a``, followed back through
+        earlier suppressions to an edge of the original graph.
+        """
+        source = {
+            ev.replacement: ev.edge_a for ev in self.events if isinstance(ev, Suppress)
+        }
+        taken = set()
+        for eid in cycle.edges:
+            while eid in source:
+                eid = source[eid]
+            taken.add(eid)
+        return frozenset(taken)
+
     def expand_cycle(self, cycle):
         """Map a cycle of the reduced graph to a cycle of the original."""
         verts = list(cycle.vertices)
@@ -182,9 +198,12 @@ def reduce_low_degree(g):
 def ep_cycles(g, k, mode, c=4.0):
     """Either k disjoint cycles or a cycle cover, with a quality report.
 
-    When every harvested cycle stays within the short-cycle threshold the
-    cover obeys |cover| <= ceil(c*log2(3k)) * k; otherwise a high-girth
-    event is recorded and only the generic min-degree-3 bound is claimed.
+    Each round harvests the cycle of ``classify(reduced, 3k, c)`` on the
+    reduced residue.  A cover round deletes that reduced cycle: its
+    vertices, or one original edge per reduced edge.  When every round's
+    cycle is a short cycle the cover obeys |cover| <= ceil(c*log2(3k)) * k;
+    otherwise each longer one is recorded as a high-girth event and only
+    the generic min-degree-3 bound is claimed.
     """
     if k < 1 or c <= 0:
         raise InvalidParameter("ep_cycles needs k >= 1 and c > 0")
@@ -203,10 +222,9 @@ def ep_cycles(g, k, mode, c=4.0):
             events.append(
                 ("high-girth", {"girth": len(cyc), "threshold": threshold})
             )
-        expanded = trace.expand_cycle(cyc)
-        harvested.append(expanded)
+        harvested.append(trace.expand_cycle(cyc))
         if len(harvested) >= k:
-            held = all(len(x) <= threshold for x in harvested)
+            held = not events
             packing = PackingCertificate(
                 mode, tuple(PatternWitness.from_cycle(x) for x in harvested)
             )
@@ -214,10 +232,10 @@ def ep_cycles(g, k, mode, c=4.0):
                 bound_claimed=k, hypotheses_held=held, events=tuple(events)
             )
             return EPOutcome(report, packing=packing)
-        taken = expanded.vertex_set if mode is Mode.VERTEX else expanded.edge_set
+        taken = cyc.vertex_set if mode is Mode.VERTEX else trace.original_edges(cyc)
         cover_elems |= taken
         residue = residue.delete(taken, mode)
-    held = all(len(x) <= threshold for x in harvested)
+    held = not events
     if held:
         bound = threshold * k
     else:

@@ -139,6 +139,8 @@ def test_criterion_03_constructive_cycle_duality():
             if out.report.hypotheses_held:
                 if len(out.cover) > k * short_cycle_threshold(3 * k, 4.0):
                     bad += 1
+            if len(out.cover) > out.report.bound_claimed:
+                bad += 1
     _verdict(3, "constructive cycle duality", bad == 0, f"{bad} failures")
 
 

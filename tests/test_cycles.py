@@ -115,6 +115,26 @@ def test_ep_cycles_randomized():
                     assert len(out.cover) <= thr * k
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_ep_cycles_cover_within_its_claims(mode):
+    # the long cycle reduces to a 2-cycle: each cover round takes one element
+    # per element of the reduced cycle, not the whole expanded cycle, and the
+    # claims follow the reduced length that the events report
+    det = cycles_detector()
+    g = MultiGraph.cycle_graph(100)
+    for k in range(1, 7):
+        out = ep_cycles(g, k, mode)
+        assert out.report.hypotheses_held
+        assert not [ev for ev in out.report.events if ev[0] == "high-girth"]
+        if k > 1:
+            assert verify_cover(g, det, out.cover)
+            assert len(out.cover) == 2 <= out.report.bound_claimed
+    # with c = 0.5 the threshold is 1, so even the 2-cycle is a long one
+    out = ep_cycles(g, 1, mode, c=0.5)
+    assert not out.report.hypotheses_held
+    assert out.report.events == (("high-girth", {"girth": 2, "threshold": 1}),)
+
+
 def test_ep_cycles_rejects_bad_params():
     with pytest.raises(InvalidParameter):
         ep_cycles(MultiGraph.complete(3), 0, Mode.VERTEX)
