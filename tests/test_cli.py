@@ -219,10 +219,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     host = tmp_path / "host.gr"
     host.write_text(TRIANGLE_GR)
     bad = tmp_path / "bad"
-    if isinstance(text, bytes):
-        bad.write_bytes(text)
-    else:
-        bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = {
         "cycles": ["cycles", "-i", str(bad), "-k", "1"],
         "td": ["decomp", "validate", "-i", str(host), "-t", str(bad)],
