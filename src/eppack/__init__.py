@@ -40,6 +40,7 @@ from .errors import (
     InvalidFamily,
     InvalidParameter,
     InvalidPartition,
+    InvariantViolated,
     MixedElementKinds,
     NoSharedEndpoint,
     OracleFailure,

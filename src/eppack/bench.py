@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from .certificates import cycles_detector, verify_cover, verify_packing
 from .cycles import ep_cycles
+from .errors import InvariantViolated
 from .gen import gnp, planar_stacked
 from .graph import Mode, MultiGraph
 from .oracles import (
@@ -43,7 +44,8 @@ def _fuzz(trials, seed, make_instance, pack_fn, cover_fn, bound):
         g = make_instance(rng)
         pack = pack_fn(g)
         cover = cover_fn(g)
-        assert pack <= cover, "packing exceeds covering"
+        if pack > cover:
+            raise InvariantViolated(f"packing {pack} exceeds covering {cover}")
         ratio = cover / pack if pack else 0.0
         report.rows.append((graph_hash(g), pack, cover, ratio))
         if pack:
@@ -111,10 +113,12 @@ def bench_gap(mode, k_max, n, p, seed, c=4.0):
         g = gnp(n, p, rng.next_u64())
         outcome = ep_cycles(g, k, mode, c)
         if outcome.packing is not None:
-            assert verify_packing(g, det, outcome.packing)
+            if not verify_packing(g, det, outcome.packing):
+                raise InvariantViolated(f"ep_cycles packing fails verification at k={k}")
             pack, cover = len(outcome.packing), 0
         else:
-            assert verify_cover(g, det, outcome.cover)
+            if not verify_cover(g, det, outcome.cover):
+                raise InvariantViolated(f"ep_cycles cover fails verification at k={k}")
             harvested = dict(outcome.report.events).get("harvested", 0)
             pack, cover = harvested, len(outcome.cover)
         table.rows.append(

@@ -1,6 +1,7 @@
 """Tree decompositions, their nice form, balanced separations, and the
 recursive cover constructions built on them."""
 
+import heapq
 from dataclasses import dataclass
 
 from .certificates import (
@@ -14,6 +15,7 @@ from .certificates import (
 from .errors import (
     CeilingViolated,
     InvalidDecomposition,
+    InvariantViolated,
     OracleFailure,
     ParameterEstimateUnavailable,
 )
@@ -40,16 +42,19 @@ def validate_td(g, td):
         return Diagnostics([("bags-vs-tree-mismatch",)])
     if td.tree.vertices and (not td.tree.is_forest() or not td.tree.is_connected()):
         return Diagnostics([("decomposition-tree-not-a-tree",)])
-    missing = g.vertices - set().union(*td.bags.values())
+    holders = {}  # host vertex -> the tree nodes whose bags hold it
+    for t, b in td.bags.items():
+        for v in b:
+            holders.setdefault(v, set()).add(t)
+    missing = g.vertices - holders.keys()
     if missing:
         return Diagnostics([("vertex-in-no-bag", sorted(missing))])
     for eid in sorted(g.edges):
         u, v = g.endpoints(eid)
-        if not any(u in b and v in b for b in td.bags.values()):
+        if not holders[u] & holders[v]:
             return Diagnostics([("edge-in-no-bag", eid, (u, v))])
     for v in sorted(g.vertices):
-        nodes = {t for t, b in td.bags.items() if v in b}
-        if nodes and not td.tree.induced(nodes).is_connected():
+        if not td.tree.induced(holders[v]).is_connected():
             return Diagnostics([("bags-of-vertex-disconnected", v)])
     return Diagnostics()
 
@@ -85,29 +90,40 @@ def _td_from_elimination(g, order):
 
 
 def min_fill_order(g):
-    """Greedy elimination order minimizing fill-in at each step."""
+    """Greedy elimination order minimizing fill-in at each step.
+
+    Ties go to the smaller degree, then the smaller vertex.  A heap holds
+    each remaining vertex's (fill, degree, vertex) key.  Eliminating v
+    changes only the keys of N(v) and N(N(v)), so only those are recomputed;
+    a popped entry that is no longer its vertex's key is skipped.
+    """
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def key(v):
+        nbrs = adj[v]
+        fill = sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
+        return (fill, len(nbrs), v)
+
+    keys = {v: key(v) for v in g.vertices}
+    heap = list(keys.values())
+    heapq.heapify(heap)
     order = []
-    remaining = set(g.vertices)
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            nbrs = adj[v] & remaining
-            fill = sum(
-                1
-                for a in nbrs
-                for b in nbrs
-                if a < b and b not in adj[a]
-            )
-            key = (fill, len(nbrs), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        nbrs = adj[v] & remaining
-        for a in nbrs:
-            adj[a].update(nbrs - {a})
+    while heap:
+        top = heapq.heappop(heap)
+        v = top[2]
+        if keys.get(v) != top:
+            continue
+        del keys[v]
         order.append(v)
-        remaining.discard(v)
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a].discard(v)
+            adj[a].update(nbrs - {a})
+        for u in nbrs.union(*(adj[a] for a in nbrs)):
+            k = key(u)
+            if k != keys[u]:
+                keys[u] = k
+                heapq.heappush(heap, k)
     return order
 
 
@@ -118,6 +134,14 @@ def min_fill_td(g):
 def exact_elimination_td(g):
     """Optimal-width decomposition by subset dynamic programming.
 
+    cost[S] = min over i in S of max(cost[S - i], |Q(S - i, i)|), where
+    Q(S - i, i) is the set of vertices outside S next to the component of i
+    in G[S] (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact
+    algorithms for treewidth", ESA 2006).  Every vertex of one component
+    shares that set, so each component of G[S] is grown once, bit-parallel.
+    Ties go to the smallest i.  Masks are visited in increasing order, which
+    puts S - i before S.
+
     Only intended for hosts of at most EXACT_TD_MAX_N vertices; the
     heuristics cover the rest.
     """
@@ -126,59 +150,43 @@ def exact_elimination_td(g):
         raise InvalidDecomposition(f"exact search limited to {EXACT_TD_MAX_N} vertices")
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    nbr_mask = [0] * n
+    nbrs = [0] * (1 << n)  # nbrs[s]: the neighbours of the vertices in s
     for v in verts:
         for u in g.neighbors(v):
-            nbr_mask[index[v]] |= 1 << index[u]
-
-    def q(i, emask):
-        """Vertices outside emask reachable from i through eliminated ones."""
-        seen = 1 << i
-        stack = [i]
-        out = 0
-        while stack:
-            x = stack.pop()
-            cand = nbr_mask[x] & ~seen
-            seen |= cand
-            rest = cand
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                j = b.bit_length() - 1
-                if (emask >> j) & 1:
-                    stack.append(j)
-                else:
-                    out |= b
-        return bin(out).count("1")
-
-    full = (1 << n) - 1
-    cost = {0: -1}
-    choice = {}
-    masks_by_size = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            best = None
-            rest = mask
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                i = b.bit_length() - 1
-                prev = mask ^ b
-                w = max(cost[prev], q(i, prev))
-                if best is None or w < best[0]:
-                    best = (w, i)
-            cost[mask] = best[0]
-            choice[mask] = best[1]
-    order_idx = []
-    mask = full
+            nbrs[1 << index[v]] |= 1 << index[u]
+    for s in range(1, 1 << n):
+        low = s & -s
+        nbrs[s] = nbrs[low] | nbrs[s ^ low]
+    cost = [-1] * (1 << n)
+    choice = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        best = n << 4  # (w << 4) | i orders as (w, i): w < n, i < EXACT_TD_MAX_N < 16
+        rest = mask
+        while rest:
+            comp = rest & -rest
+            grown = comp | nbrs[comp] & mask
+            while grown != comp:
+                comp = grown
+                grown = comp | nbrs[comp] & mask
+            rest ^= comp
+            q = (nbrs[comp] & ~mask).bit_count()
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                w = cost[mask ^ b]
+                key = ((w if w > q else q) << 4) | (b.bit_length() - 1)
+                if key < best:
+                    best = key
+        cost[mask] = best >> 4
+        choice[mask] = best & 15
+    order = []
+    mask = (1 << n) - 1
     while mask:
         i = choice[mask]
-        order_idx.append(i)
+        order.append(verts[i])
         mask ^= 1 << i
-    order_idx.reverse()
-    return _td_from_elimination(g, [verts[i] for i in order_idx])
+    order.reverse()
+    return _td_from_elimination(g, order)
 
 
 # -- nice form -------------------------------------------------------------------
@@ -213,26 +221,33 @@ class NiceTreeDecomposition:
         return max((len(n.bag) for n in self.nodes.values()), default=0) - 1
 
     def audit(self):
-        """Hard checks of the nice-form invariants."""
-        assert self.nodes[self.root].bag == frozenset()
+        """Hard checks of the nice-form invariants; they run under -O too."""
+
+        def check(ok, t, why):
+            if not ok:
+                raise InvalidDecomposition(f"nice node {t}: {why}")
+
+        check(self.nodes[self.root].bag == frozenset(), self.root, "root bag not empty")
         for t, node in self.nodes.items():
             deg = len(node.children) + (0 if t == self.root else 1)
-            assert deg <= 3, "degree exceeds 3"
+            check(deg <= 3, t, "degree exceeds 3")
             if node.kind == "base":
-                assert node.bag == frozenset() and not node.children
+                check(node.bag == frozenset() and not node.children, t, "base not empty")
             elif node.kind == "introduce":
                 (c,) = node.children
-                assert node.bag == self.nodes[c].bag | {node.vertex}
-                assert node.vertex not in self.nodes[c].bag
+                below = self.nodes[c].bag
+                check(node.bag == below | {node.vertex}, t, "bag is not child's plus vertex")
+                check(node.vertex not in below, t, "vertex already in child's bag")
             elif node.kind == "forget":
                 (c,) = node.children
-                assert node.bag == self.nodes[c].bag - {node.vertex}
-                assert node.vertex in self.nodes[c].bag
+                below = self.nodes[c].bag
+                check(node.bag == below - {node.vertex}, t, "bag is not child's minus vertex")
+                check(node.vertex in below, t, "vertex not in child's bag")
             elif node.kind == "join":
                 a, b = node.children
-                assert self.nodes[a].bag == node.bag == self.nodes[b].bag
+                check(self.nodes[a].bag == node.bag == self.nodes[b].bag, t, "bags differ")
             else:
-                raise AssertionError(f"unknown kind {node.kind}")
+                check(False, t, f"unknown kind {node.kind}")
 
     def to_td(self):
         edges = []
@@ -432,8 +447,8 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
         traces = []
         for w in ws:
             tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)
-            if det.connected_patterns:
-                assert td.tree.induced(tr).is_connected(), "trace not connected"
+            if det.connected_patterns and not td.tree.induced(tr).is_connected():
+                raise InvariantViolated("trace of a connected witness not connected")
             traces.append(tr)
         witness_lists.append(ws)
         trace_lists.append(traces)
@@ -478,8 +493,8 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
         hypotheses_held=True,
         events=(("deficient-family", deficient),),
     )
-    residue = g.delete_vertices(cover.elements)
-    assert component_detectors[deficient].find(residue) is None
+    if component_detectors[deficient].find(g.delete_vertices(cover.elements)) is not None:
+        raise InvariantViolated("a witness survives the cover")
     return EPOutcome(report, cover=cover)
 
 

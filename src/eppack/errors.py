@@ -59,3 +59,7 @@ class PreconditionViolated(EPError):
 
 class RoutingFailed(EPError):
     """Routing could not complete although preconditions held; a bug signal."""
+
+
+class InvariantViolated(EPError):
+    """A result broke a guarantee of the construction that made it; a bug signal."""

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (
     InvalidParameter,
+    InvariantViolated,
     PreconditionViolated,
     RoutingFailed,
 )
@@ -250,16 +251,16 @@ def thicken_subcubic(h, k):
     g = base.graph
     targets = [v for v in g.vertices if g.degree(v) >= 4]
     out = _replace_by_caterpillars(base, targets, "subdivision-subcubic")
-    assert all(out.graph.degree(v) <= 3 for v in out.graph.vertices)
+    if any(out.graph.degree(v) > 3 for v in out.graph.vertices):
+        raise InvariantViolated("subcubic thickening has a vertex of degree > 3")
     return out
 
 
 def thicken_minor(h, k):
     """Subcubic thickening with apices also replaced; models are minors."""
-    # degree >= 4 apices are already trees; the rest replace trivially
-    out = replace(thicken_subcubic(h, k), variant="minor")
-    assert all(out.graph.degree(v) <= 3 for v in out.graph.vertices)
-    return out
+    # degree >= 4 apices are already trees; the rest replace trivially, so
+    # the graph is thicken_subcubic's, whose degrees it checked
+    return replace(thicken_subcubic(h, k), variant="minor")
 
 
 # -- routing ---------------------------------------------------------------------

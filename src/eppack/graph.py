@@ -57,19 +57,16 @@ class Cycle:
 
 
 def _canonical_cycle(vertices, edges):
-    """Rotate/reflect so the vertex sequence is lexicographically smallest."""
-    n = len(vertices)
-    best = None
-    for start in range(n):
-        for step in (1, -1):
-            vs = tuple(vertices[(start + step * i) % n] for i in range(n))
-            if step == 1:
-                es = tuple(edges[(start + i) % n] for i in range(n))
-            else:
-                es = tuple(edges[(start - 1 - i) % n] for i in range(n))
-            if best is None or (vs, es) < best:
-                best = (vs, es)
-    return Cycle(best[0], best[1])
+    """Rotate/reflect so the vertex sequence is lexicographically smallest.
+
+    The vertices are distinct, so that sequence starts at the smallest one
+    and only its two directions compete; on a 2-cycle they differ only in
+    the order of the edges, which then breaks the tie.
+    """
+    s = vertices.index(min(vertices))
+    vs = tuple(vertices[s:]) + tuple(vertices[:s])
+    es = tuple(edges[s:]) + tuple(edges[:s])
+    return Cycle(*min((vs, es), (vs[:1] + vs[:0:-1], es[::-1])))
 
 
 class MultiGraph:

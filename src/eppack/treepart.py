@@ -10,7 +10,7 @@ from .certificates import (
     PackingCertificate,
     QualityReport,
 )
-from .errors import InvalidParameter, InvalidPartition
+from .errors import InvalidParameter, InvalidPartition, InvariantViolated
 from .graph import Mode, MultiGraph, postorder, subtree_unions
 
 
@@ -145,7 +145,8 @@ def inductive_edge_cover(g, tp, det, k):
                 break
         if found is None:
             bound = k * r * (d * r + 1)
-            assert len(cut_all) <= bound
+            if len(cut_all) > bound:
+                raise InvariantViolated(f"cover of {len(cut_all)} edges exceeds its bound {bound}")
             cover = CoverCertificate(Mode.EDGE, frozenset(cut_all))
             report = QualityReport(bound_claimed=bound, hypotheses_held=True)
             return EPOutcome(report, cover=cover)
@@ -157,20 +158,23 @@ def inductive_edge_cover(g, tp, det, k):
             if u in bag and v in bag
         }
         touched = [c for c in children[t] if subtree_vs[c] & w.vertices]
-        assert len(touched) <= r * d, "witness meets too many child subtrees"
+        if len(touched) > r * d:
+            raise InvariantViolated("witness meets too many child subtrees")
         for c in touched:
             cbag = tp.bags[c]
             for eid, (u, v) in residue.edges.items():
                 if (u in bag and v in cbag) or (v in bag and u in cbag):
                     cut.add(eid)
-        assert len(cut) <= r + d * r * r, "per-round cut exceeds its bound"
+        if len(cut) > r + d * r * r:
+            raise InvariantViolated("per-round cut exceeds its bound")
         members.append(w)
         cut_all |= cut
         residue = residue.delete_edges(cut)
 
     used = set()
     for w in members:
-        assert not (w.edges & used), "collected witnesses share an edge"
+        if w.edges & used:
+            raise InvariantViolated("collected witnesses share an edge")
         used |= w.edges
     packing = PackingCertificate(Mode.EDGE, tuple(members))
     report = QualityReport(bound_claimed=k, hypotheses_held=True)

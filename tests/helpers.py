@@ -11,7 +11,9 @@ from collections import deque
 from hypothesis import strategies as st
 
 from eppack.cycles import DeleteVertex, ReductionTrace, Suppress
-from eppack.graph import Mode, MultiGraph, _canonical_cycle
+from eppack.certificates import Diagnostics
+from eppack.decomp import _td_from_elimination
+from eppack.graph import Cycle, Mode, MultiGraph
 from eppack.iso import enumerate_cycles
 
 
@@ -83,10 +85,10 @@ def from_networkx(nxg):
 
 
 @st.composite
-def multigraphs(draw, max_n=10, max_pairs=14, simple=False):
+def multigraphs(draw, max_n=10, max_pairs=14, simple=False, min_n=1):
     """Loopless graphs with scattered vertex ids and unordered edge ids;
     unless ``simple``, a drawn pair may come in up to three parallel copies."""
-    verts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_n, unique=True))
+    verts = draw(st.lists(st.integers(0, 40), min_size=min_n, max_size=max_n, unique=True))
     pairs = []
     if len(verts) > 1:
         ends = st.sampled_from(verts)
@@ -124,8 +126,26 @@ def random_multigraph(rng, max_n=9, max_m=16):
 # -- reference kernels ----------------------------------------------------------
 #
 # Plain versions of ``reduce_low_degree`` (a rescan and a full rebuild per
-# step) and ``shortest_cycle`` (an uncut BFS per edge).  The tests require the
-# package's worklist and cut-off kernels to return exactly what these return.
+# step), ``shortest_cycle`` (an uncut BFS per edge) and ``_canonical_cycle``
+# (every rotation in both directions).  The tests require the package's
+# worklist, cut-off and two-candidate kernels to return exactly what these
+# return.
+
+
+def ref_canonical_cycle(vertices, edges):
+    """Rotate/reflect so the vertex sequence is lexicographically smallest."""
+    n = len(vertices)
+    best = None
+    for start in range(n):
+        for step in (1, -1):
+            vs = tuple(vertices[(start + step * i) % n] for i in range(n))
+            if step == 1:
+                es = tuple(edges[(start + i) % n] for i in range(n))
+            else:
+                es = tuple(edges[(start - 1 - i) % n] for i in range(n))
+            if best is None or (vs, es) < best:
+                best = (vs, es)
+    return Cycle(best[0], best[1])
 
 
 def ref_reduce_low_degree(g):
@@ -201,7 +221,7 @@ def ref_shortest_cycle(g):
 
     def consider(verts, eids):
         nonlocal best
-        cand = _canonical_cycle(verts, eids)
+        cand = ref_canonical_cycle(verts, eids)
         key = (len(cand), cand.vertices, cand.edges)
         if best is None or key < (len(best), best.vertices, best.edges):
             best = cand
@@ -242,3 +262,115 @@ def replay(trace, g):
             edges[ev.replacement] = (ev.x, ev.z)
             h = type(h)(h.vertices - {ev.vertex}, edges)
     return h
+
+
+# -- reference decompositions ------------------------------------------------------
+#
+# The min-fill order by a full rescan per step, ``validate_td`` by a scan of
+# every bag per vertex, and the subset DP with one DFS per (mask, vertex) pair
+# and masks taken by size.  The package's heap, index and component versions
+# must return exactly what these return.
+
+
+def ref_min_fill_order(g):
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    order = []
+    remaining = set(g.vertices)
+    while remaining:
+        best = None
+        for v in sorted(remaining):
+            nbrs = adj[v] & remaining
+            fill = sum(
+                1
+                for a in nbrs
+                for b in nbrs
+                if a < b and b not in adj[a]
+            )
+            key = (fill, len(nbrs), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        v = best[1]
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a].update(nbrs - {a})
+        order.append(v)
+        remaining.discard(v)
+    return order
+
+
+def ref_validate_td(g, td):
+    if set(td.bags) != set(td.tree.vertices):
+        return Diagnostics([("bags-vs-tree-mismatch",)])
+    if td.tree.vertices and (not td.tree.is_forest() or not td.tree.is_connected()):
+        return Diagnostics([("decomposition-tree-not-a-tree",)])
+    missing = g.vertices - set().union(*td.bags.values())
+    if missing:
+        return Diagnostics([("vertex-in-no-bag", sorted(missing))])
+    for eid in sorted(g.edges):
+        u, v = g.endpoints(eid)
+        if not any(u in b and v in b for b in td.bags.values()):
+            return Diagnostics([("edge-in-no-bag", eid, (u, v))])
+    for v in sorted(g.vertices):
+        nodes = {t for t, b in td.bags.items() if v in b}
+        if nodes and not td.tree.induced(nodes).is_connected():
+            return Diagnostics([("bags-of-vertex-disconnected", v)])
+    return Diagnostics()
+
+
+def ref_exact_elimination_td(g):
+    n = g.n
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    nbr_mask = [0] * n
+    for v in verts:
+        for u in g.neighbors(v):
+            nbr_mask[index[v]] |= 1 << index[u]
+
+    def q(i, emask):
+        """Vertices outside emask reachable from i through eliminated ones."""
+        seen = 1 << i
+        stack = [i]
+        out = 0
+        while stack:
+            x = stack.pop()
+            cand = nbr_mask[x] & ~seen
+            seen |= cand
+            rest = cand
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                j = b.bit_length() - 1
+                if (emask >> j) & 1:
+                    stack.append(j)
+                else:
+                    out |= b
+        return bin(out).count("1")
+
+    full = (1 << n) - 1
+    cost = {0: -1}
+    choice = {}
+    masks_by_size = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    for size in range(1, n + 1):
+        for mask in masks_by_size[size]:
+            best = None
+            rest = mask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                i = b.bit_length() - 1
+                prev = mask ^ b
+                w = max(cost[prev], q(i, prev))
+                if best is None or w < best[0]:
+                    best = (w, i)
+            cost[mask] = best[0]
+            choice[mask] = best[1]
+    order_idx = []
+    mask = full
+    while mask:
+        i = choice[mask]
+        order_idx.append(i)
+        mask ^= 1 << i
+    order_idx.reverse()
+    return _td_from_elimination(g, [verts[i] for i in order_idx])

@@ -1,9 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import multigraphs, ref_exact_elimination_td, ref_min_fill_order, ref_validate_td
+
+import eppack
 from eppack.certificates import builtin_detectors, cycles_detector, verify_cover, verify_packing
 from eppack.decomp import (
+    EXACT_TD_MAX_N,
     Ceiling,
     TreeDecomposition,
     balanced_separation,
@@ -11,6 +21,7 @@ from eppack.decomp import (
     cover_connected_bounded_tw,
     disconnected_pattern_ep,
     exact_elimination_td,
+    min_fill_order,
     min_fill_td,
     to_nice,
     validate_td,
@@ -58,6 +69,53 @@ def test_widths_on_known_graphs():
         assert min_fill_td(g).width() >= exact_elimination_td(g).width()
 
 
+@settings(max_examples=300)
+@given(st.one_of(multigraphs(max_n=11, min_n=0),
+                 multigraphs(max_n=11, max_pairs=30, simple=True)))
+@example(MultiGraph([], {}))
+@example(MultiGraph([3, 17, 40], {}))
+@example(MultiGraph.petersen())
+def test_exact_td_matches_reference(g):
+    # disconnected hosts, isolated vertices and scattered ids included
+    td, ref = exact_elimination_td(g), ref_exact_elimination_td(g)
+    assert td.bags == ref.bags
+    assert list(td.tree.edges.items()) == list(ref.tree.edges.items())
+    assert td.tree == ref.tree
+
+
+def test_exact_td_size_limit():
+    g = gnp(EXACT_TD_MAX_N, 0.3, 1)
+    td = exact_elimination_td(g)
+    assert validate_td(g, td)
+    assert td.width() <= min_fill_td(g).width()
+    with pytest.raises(InvalidDecomposition):
+        exact_elimination_td(MultiGraph.path_graph(EXACT_TD_MAX_N + 1))
+
+
+@settings(max_examples=300)
+@given(st.one_of(multigraphs(max_n=12, min_n=0),
+                 multigraphs(max_n=16, max_pairs=40, simple=True)))
+@example(MultiGraph.path_graph(30))
+@example(MultiGraph.petersen())
+@example(gnp(40, 0.15, 3))
+def test_min_fill_order_matches_reference(g):
+    assert min_fill_order(g) == ref_min_fill_order(g)
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=10, min_n=0), st.data())
+def test_validate_td_matches_reference(g, data):
+    # toggling host vertices in bags breaks each condition in turn
+    td = min_fill_td(g)
+    bags = dict(td.bags)
+    verts = sorted(g.vertices)
+    for _ in range(data.draw(st.integers(0, 3)) if verts else 0):
+        t = data.draw(st.sampled_from(sorted(bags)))
+        bags[t] = bags[t] ^ {data.draw(st.sampled_from(verts))}
+    mutated = TreeDecomposition(td.tree, bags)
+    assert validate_td(g, mutated) == ref_validate_td(g, mutated)
+
+
 def test_min_fill_always_valid():
     for seed in range(15):
         g = gnp(13, 0.25, seed)
@@ -74,6 +132,46 @@ def test_to_nice_preserves_width_and_validity():
         assert ntd.width() == td.width()
         assert validate_td(g, ntd.to_td())
         assert ntd.nodes[ntd.root].bag == frozenset()
+
+
+AUDIT_UNDER_O = """
+import sys
+from dataclasses import replace
+from eppack.decomp import min_fill_td, to_nice
+from eppack.errors import InvalidDecomposition
+from eppack.graph import MultiGraph
+
+assert False, "asserts must be off"
+# a spider: its decomposition branches, so the nice form has a join
+g = MultiGraph.from_edges(range(7), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+corruptions = {
+    "introduce": lambda node: replace(node, bag=node.bag - {node.vertex}),
+    "forget": lambda node: replace(node, vertex=-1),
+    "join": lambda node: replace(node, bag=frozenset({-1})),
+    "base": lambda node: replace(node, bag=frozenset({-1})),
+}
+for kind, corrupt in corruptions.items():
+    ntd = to_nice(g, min_fill_td(g))
+    t = min(t for t, node in ntd.nodes.items() if node.kind == kind)
+    ntd.nodes[t] = corrupt(ntd.nodes[t])
+    try:
+        ntd.audit()
+    except InvalidDecomposition as exc:
+        print(kind, exc)
+    else:
+        sys.exit(f"{kind}: corruption passed the audit")
+"""
+
+
+def test_audit_raises_typed_errors_under_O():
+    src = str(Path(eppack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", AUDIT_UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["introduce", "forget", "join", "base"]
+    assert all("nice node" in line for line in lines)
 
 
 def test_to_nice_rejects_invalid_input():

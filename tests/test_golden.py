@@ -7,7 +7,7 @@ the contract, so today's certificates, traces, cycles and oracle node counts
 must equal the frozen ones exactly.
 
 ``tests/data/golden_formats.json`` freezes the exact text of the writers
-(graphs, tree decompositions in min-fill and nice form, tree partitions,
+(graphs, tree decompositions in min-fill, nice and exact form, tree partitions,
 subtree families, certificate JSON) and of the certificate-writing CLI
 commands, with their exit codes and stderr, on seeded ``gnp`` hosts.
 
@@ -29,7 +29,7 @@ from helpers import random_multigraph
 from eppack import io as eio
 from eppack.cli import main
 from eppack.cycles import DeleteVertex, ep_cycles, reduce_low_degree
-from eppack.decomp import min_fill_td, to_nice
+from eppack.decomp import exact_elimination_td, min_fill_td, to_nice
 from eppack.gen import gnp, random_subtree_family
 from eppack.graph import Mode, MultiGraph
 from eppack.oracles import exact_epack_cycles, exact_vcover_cycles, exact_vpack_cycles
@@ -153,6 +153,19 @@ def td_text_section():
     return out
 
 
+def exact_td_text_section():
+    """``exact_elimination_td`` as ``.td`` text, which pins its elimination
+    order: the DP's tie-breaking decides the bags and the tree."""
+    hosts = [*_format_hosts(), ("petersen()", MultiGraph.petersen()),
+             ("complete(6)", MultiGraph.complete(6)),
+             ("cycle_graph(12)", MultiGraph.cycle_graph(12))]
+    for n in range(15):
+        for j, p in enumerate((0.2, 0.45)):
+            seed = 500 + 2 * n + j
+            hosts.append((f"gnp({n},{p},{seed})", gnp(n, p, seed)))
+    return {name: eio.format_td(exact_elimination_td(g), g.n) for name, g in hosts}
+
+
 def tp_text_section():
     out = {}
     for name, g in _format_hosts():
@@ -235,6 +248,7 @@ def cli_text_section():
 FORMAT_SECTIONS = {
     "format_gr": graph_text_section,
     "format_td": td_text_section,
+    "format_td exact": exact_td_text_section,
     "format_tp": tp_text_section,
     "format_family": family_text_section,
     "certificate": certificate_text_section,

@@ -1,17 +1,18 @@
 """The cycle kernels against their reference implementations in helpers.
 
-``reduce_low_degree`` and ``shortest_cycle`` must return exactly what the
-per-step rebuild and the uncut per-edge BFS return: the same events, the same
-reduced graph (edge order included) and the same canonical cycle.
+``reduce_low_degree``, ``shortest_cycle`` and ``_canonical_cycle`` must return
+exactly what the per-step rebuild, the uncut per-edge BFS and the scan of
+every rotation return: the same events, the same reduced graph (edge order
+included) and the same canonical cycle.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import multigraphs, ref_reduce_low_degree, ref_shortest_cycle
+from helpers import multigraphs, ref_canonical_cycle, ref_reduce_low_degree, ref_shortest_cycle
 
 from eppack.cycles import reduce_low_degree
-from eppack.graph import MultiGraph
+from eppack.graph import MultiGraph, _canonical_cycle
 
 
 # A lone triangle reduces to a 2-cycle; which pair survives depends on the
@@ -43,3 +44,24 @@ def test_shortest_cycle_matches_reference(g):
     assert g.shortest_cycle() == ref_shortest_cycle(g)
     h = reduce_low_degree(g)[0]
     assert h.shortest_cycle() == ref_shortest_cycle(h)
+
+
+@st.composite
+def cycle_sequences(draw):
+    """A cycle's vertex and edge sequences: L from 2 to 12, distinct
+    vertices and distinct edge ids, both in arbitrary order."""
+    size = draw(st.integers(2, 12))
+    verts = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True))
+    eids = draw(st.lists(st.integers(0, 60), min_size=size, max_size=size, unique=True))
+    return verts, eids
+
+
+@settings(max_examples=1000)
+@given(cycle_sequences())
+@example(([5, 3], [8, 1]))
+@example(([5, 3], [1, 8]))
+@example(([0, 1, 2], [7, 8, 9]))
+def test_canonical_cycle_matches_reference(seqs):
+    verts, eids = seqs
+    assert _canonical_cycle(verts, eids) == ref_canonical_cycle(verts, eids)
+    assert _canonical_cycle(tuple(verts), tuple(eids)) == ref_canonical_cycle(verts, eids)
