@@ -16,7 +16,7 @@ from .certificates import (
     PatternWitness,
     QualityReport,
 )
-from .errors import InvalidParameter
+from .errors import InvalidParameter, InvariantViolated
 from .graph import Cycle, Mode
 
 
@@ -128,7 +128,7 @@ class ReductionTrace:
             elif (a, b) == (ev.z, ev.x):
                 eids[i : i + 1] = [ev.edge_b, ev.edge_a]
             else:
-                raise AssertionError("trace replay mismatch")
+                raise InvariantViolated("trace replay mismatch")
             verts.insert(i + 1, ev.vertex)
         return Cycle(tuple(verts), tuple(eids))
 

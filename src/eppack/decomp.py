@@ -53,8 +53,14 @@ def validate_td(g, td):
         u, v = g.endpoints(eid)
         if not holders[u] & holders[v]:
             return Diagnostics([("edge-in-no-bag", eid, (u, v))])
+    # the nodes holding v induce a forest, connected iff it has one edge
+    # fewer than it has nodes
+    spanned = dict.fromkeys(holders, 0)
+    for s, t in td.tree.edges.values():
+        for v in td.bags[s] & td.bags[t]:
+            spanned[v] += 1
     for v in sorted(g.vertices):
-        if not td.tree.induced(holders[v]).is_connected():
+        if spanned[v] != len(holders[v]) - 1:
             return Diagnostics([("bags-of-vertex-disconnected", v)])
     return Diagnostics()
 
@@ -301,7 +307,7 @@ def to_nice(g, td):
         top[t] = adapt(tops[0], bag, parent_bag[t])
     root = top[troot]
     if nodes[root].bag != frozenset():
-        raise AssertionError("root bag not empty")
+        raise InvariantViolated("root bag not empty")
     ntd = NiceTreeDecomposition(nodes, root)
     ntd.audit()
     return ntd
@@ -355,19 +361,19 @@ def balanced_separation(g, ntd, pack_oracle):
             chosen = t
             break
     if chosen is None:
-        raise AssertionError("root must satisfy the packing threshold")
+        raise InvariantViolated("root must satisfy the packing threshold")
     node = ntd.nodes[chosen]
     if node.kind == "forget":
         (u,) = node.children
     elif node.kind == "join":
         u = max(node.children, key=lambda c: (pack_of(minus(c)), -c))
     else:
-        raise AssertionError(f"threshold node of kind {node.kind}")
+        raise InvariantViolated(f"threshold node of kind {node.kind}")
     a = frozenset(sub_vs[u])
     b = frozenset(g.vertices - minus(u))
     sep = Separation(a, b)
     if not sep.validate(g):
-        raise AssertionError("separation invariant violated")
+        raise InvariantViolated("separation invariant violated")
     return sep
 
 
@@ -466,7 +472,7 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
     if deficient is None:
         selection = rs_selection(td.tree, trace_lists, k)
         if selection is None:
-            raise AssertionError("selection must exist when every family is rich")
+            raise InvariantViolated("selection must exist when every family is rich")
         members = []
         for j in range(k):
             vs, es = set(), set()

@@ -342,7 +342,7 @@ def _bundle_endpoint(gadget, eid, copy):
         return a
     if b in gadget.copies[copy]:
         return b
-    raise AssertionError("bundle edge misses its copy")
+    raise InvariantViolated("bundle edge misses its copy")
 
 
 def route_avoiding(gadget, x):

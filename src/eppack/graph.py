@@ -373,6 +373,8 @@ class MultiGraph:
                     consider([u, v], sorted(ids)[:2])
         if best is not None:
             return best  # length 2 is unbeatable in a loopless graph
+        if self.m - self.n + len(self.components()) == 0:
+            return None  # a forest: no BFS would find a path back
         # simple from here on: one edge id per neighbour
         nbrs = {
             v: [(u, ids[0]) for u, ids in sorted(adj.items())]

@@ -5,14 +5,16 @@ witness or raises BudgetExceeded; it never approximates silently.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .certificates import (
     CoverCertificate,
     PackingCertificate,
     PatternWitness,
 )
-from .errors import BudgetExceeded, InvalidParameter
+from .errors import BudgetExceeded, InvalidParameter, InvariantViolated
 from .graph import Cycle, Mode
 from .iso import enumerate_copies, find_copy
 
@@ -122,19 +124,24 @@ def _chordless_cycles_through_edge(g, eid):
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
 
 
-def _cycle_space_dim(g):
-    return g.m - g.n + len(g.components())
+def _pack_bound(h, mode, shortest=None):
+    """Upper bound on the number of members of a cycle packing of h.
 
-
-def _pack_upper_bound(g, mode):
-    dim = _cycle_space_dim(g)
-    has_parallel = any(
-        len(g.edges_between(u, w)) >= 2 for u, w in g.underlying_pairs()
-    )
-    shortest = 2 if has_parallel else 3
-    if mode is Mode.EDGE:
-        return min(dim, g.m // shortest)
-    return min(dim, g.n // shortest)
+    The members are independent in the cycle space, so there are at most
+    cycle-rank of them, and each has at least ``shortest`` vertices or
+    edges: h's girth if the caller knows it, else 2 with a parallel pair
+    and 3 without.  In edge mode the members' union has only even degrees,
+    so each odd-degree vertex leaves one of its edges unused and at most
+    m - odd/2 edges are packed.
+    """
+    dim = h.m - h.n + len(h.components())
+    if shortest is None:
+        shortest = 2 if len(h.underlying_pairs()) < h.m else 3
+    if mode is Mode.VERTEX:
+        return min(dim, h.n // shortest)
+    degrees = Counter(chain.from_iterable(h.edges.values()))
+    odd = sum(d & 1 for d in degrees.values())
+    return min(dim, (h.m - odd // 2) // shortest)
 
 
 # -- exact cycle packing / covering -------------------------------------------
@@ -147,7 +154,7 @@ def exact_vpack_cycles(g, budget=None):
 
     def rec(h, acc, members):
         counter.tick()
-        if acc + _pack_upper_bound(h, Mode.VERTEX) <= best[0]:
+        if acc + _pack_bound(h, Mode.VERTEX) <= best[0]:
             return
         c = h.shortest_cycle()
         if c is None:
@@ -191,7 +198,7 @@ def exact_vcover_cycles(g, budget=None):
         if got is not None:
             witness = CoverCertificate(Mode.VERTEX, frozenset(got))
             return ExactResult(len(got), witness, counter.nodes)
-    raise AssertionError("unreachable: deleting all vertices leaves a forest")
+    raise InvariantViolated("unreachable: deleting all vertices leaves a forest")
 
 
 def exact_epack_cycles(g, budget=None):
@@ -210,14 +217,16 @@ def exact_epack_cycles(g, budget=None):
 
     def rec(h, acc, members):
         counter.tick()
-        if acc + _pack_upper_bound(h, Mode.EDGE) <= best[0]:
+        if acc + _pack_bound(h, Mode.EDGE) <= best[0]:
             return
         c = h.shortest_cycle()
         if c is None:
             if acc > best[0]:
                 best[0], best[1] = acc, list(members)
             return
-        if acc + min(_cycle_space_dim(h), h.m // len(c)) <= best[0]:
+        # a 2-cycle means a parallel pair and a 3-cycle none, so below
+        # length 4 the bound above already divided by len(c)
+        if len(c) > 3 and acc + _pack_bound(h, Mode.EDGE, len(c)) <= best[0]:
             return
         if acc + 1 > best[0]:
             best[0], best[1] = acc + 1, list(members) + [c]
@@ -350,7 +359,7 @@ def exact_cover_subgraph(g, pattern, mode, budget=None):
             return ExactResult(
                 len(got), CoverCertificate(mode, frozenset(got)), counter.nodes
             )
-    raise AssertionError("unreachable: hitting every copy eventually succeeds")
+    raise InvariantViolated("unreachable: hitting every copy eventually succeeds")
 
 
 # -- greedy subgraph duality ---------------------------------------------------

@@ -117,6 +117,9 @@ def inductive_edge_cover(g, tp, det, k):
     Each round finds the deepest partition node whose subtree holds a
     witness, shrinks it to a minimal one, and cuts the bag-internal edges
     plus the bundles toward the children that minimal witness touches.
+    The residue only loses edges and holding a witness is monotone under
+    edge deletion, so a node that had none still has none: each round's
+    postorder scan resumes at the node the last round found.
     """
     if k < 1:
         raise InvalidParameter("k must be at least 1")
@@ -135,14 +138,17 @@ def inductive_edge_cover(g, tp, det, k):
     members = []
     cut_all = set()
     residue = g
+    i = 0  # index in post of the first node that may hold a witness
     while len(members) < k:
         found = None
-        for t in post:
+        while i < len(post):
+            t = post[i]
             sub = residue.induced(subtree_vs[t] & residue.vertices)
             w = det.minimal(sub)
             if w is not None:
                 found = (t, w)
                 break
+            i += 1
         if found is None:
             bound = k * r * (d * r + 1)
             if len(cut_all) > bound:

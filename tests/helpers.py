@@ -11,10 +11,19 @@ from collections import deque
 from hypothesis import strategies as st
 
 from eppack.cycles import DeleteVertex, ReductionTrace, Suppress
-from eppack.certificates import Diagnostics
+from eppack.certificates import (
+    CoverCertificate,
+    Diagnostics,
+    EPOutcome,
+    PackingCertificate,
+    PatternWitness,
+    QualityReport,
+)
 from eppack.decomp import _td_from_elimination
-from eppack.graph import Cycle, Mode, MultiGraph
+from eppack.graph import Cycle, Mode, MultiGraph, postorder, subtree_unions
 from eppack.iso import enumerate_cycles
+from eppack.oracles import ExactResult
+from eppack.treepart import tp_width
 
 
 def bf_vcover_cycles(g):
@@ -374,3 +383,142 @@ def ref_exact_elimination_td(g):
         mask ^= 1 << i
     order_idx.reverse()
     return _td_from_elimination(g, [verts[i] for i in order_idx])
+
+
+# -- reference edge-packing search ---------------------------------------------------
+#
+# ``exact_epack_cycles`` with its enumerator as they were before the parity
+# term: the bound is min(cycle rank, m // shortest) with shortest 2 or 3 at
+# entry and the girth after the node's ``shortest_cycle``.  The package's
+# search must return the same value and witness with no more nodes.
+
+
+def _ref_chordless_cycles_through_edge(g, eid):
+    u, v = g.endpoints(eid)
+    out = []
+    for other in g.edges_between(u, v):
+        if other != eid:
+            out.append(Cycle((u, v), (other, eid)))
+    uv_simple = len(g.edges_between(u, v)) == 1
+
+    def dfs(path, eids):
+        last = path[-1]
+        for w in sorted(g.neighbors(last)):
+            if w in path:
+                continue
+            between = g.edges_between(last, w)
+            if len(between) != 1:
+                continue
+            if w == v:
+                if len(path) >= 2 and uv_simple and not any(
+                    g.edges_between(x, v) for x in path[1:-1]
+                ):
+                    out.append(
+                        Cycle(tuple(path) + (v,), tuple(eids) + (between[0], eid))
+                    )
+                continue
+            if any(g.edges_between(x, w) for x in path[:-1]):
+                continue
+            dfs(path + [w], eids + [between[0]])
+
+    dfs([u], [])
+    return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
+
+
+def _ref_cycle_space_dim(g):
+    return g.m - g.n + len(g.components())
+
+
+def _ref_pack_upper_bound(g):
+    dim = _ref_cycle_space_dim(g)
+    has_parallel = any(
+        len(g.edges_between(u, w)) >= 2 for u, w in g.underlying_pairs()
+    )
+    shortest = 2 if has_parallel else 3
+    return min(dim, g.m // shortest)
+
+
+def ref_exact_epack_cycles(g):
+    explored = 0
+    residue, seed = g, []
+    while True:
+        c = residue.shortest_cycle()
+        if c is None:
+            break
+        seed.append(c)
+        residue = residue.delete_edges(c.edge_set)
+    best = [len(seed), seed]
+
+    def rec(h, acc, members):
+        nonlocal explored
+        explored += 1
+        if acc + _ref_pack_upper_bound(h) <= best[0]:
+            return
+        c = h.shortest_cycle()
+        if c is None:
+            if acc > best[0]:
+                best[0], best[1] = acc, list(members)
+            return
+        if acc + min(_ref_cycle_space_dim(h), h.m // len(c)) <= best[0]:
+            return
+        if acc + 1 > best[0]:
+            best[0], best[1] = acc + 1, list(members) + [c]
+        eid = min(c.edge_set)
+        for p in _ref_chordless_cycles_through_edge(h, eid):
+            rec(h.delete_edges(p.edge_set), acc + 1, members + [p])
+        rec(h.delete_edges({eid}), acc, members)
+
+    rec(g, 0, [])
+    witness = PackingCertificate(
+        Mode.EDGE, tuple(PatternWitness.from_cycle(c) for c in best[1])
+    )
+    return ExactResult(best[0], witness, explored)
+
+
+# -- reference inductive edge cover ---------------------------------------------------
+#
+# ``inductive_edge_cover`` with every round's postorder scan starting at the
+# first node.  The package resumes at the node the last round found and must
+# return the same outcome.  The caller passes a valid partition and a
+# connected detector with a degree bound.
+
+
+def ref_inductive_edge_cover(g, tp, det, k):
+    r = tp_width(g, tp)
+    d = det.delta_tilde_bound
+    children = tp.tree.rooted(tp.root)
+    post = postorder(children, tp.root)
+    subtree_vs = subtree_unions(children, post, tp.bags)
+    members = []
+    cut_all = set()
+    residue = g
+    while len(members) < k:
+        found = None
+        for t in post:
+            sub = residue.induced(subtree_vs[t] & residue.vertices)
+            w = det.minimal(sub)
+            if w is not None:
+                found = (t, w)
+                break
+        if found is None:
+            cover = CoverCertificate(Mode.EDGE, frozenset(cut_all))
+            report = QualityReport(bound_claimed=k * r * (d * r + 1), hypotheses_held=True)
+            return EPOutcome(report, cover=cover)
+        t, w = found
+        bag = tp.bags[t]
+        cut = {
+            eid
+            for eid, (u, v) in residue.edges.items()
+            if u in bag and v in bag
+        }
+        for c in children[t]:
+            if subtree_vs[c] & w.vertices:
+                cbag = tp.bags[c]
+                for eid, (u, v) in residue.edges.items():
+                    if (u in bag and v in cbag) or (v in bag and u in cbag):
+                        cut.add(eid)
+        members.append(w)
+        cut_all |= cut
+        residue = residue.delete_edges(cut)
+    packing = PackingCertificate(Mode.EDGE, tuple(members))
+    return EPOutcome(QualityReport(bound_claimed=k, hypotheses_held=True), packing=packing)

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import example, given, settings
 
 from helpers import (
     bf_ecover_cycles,
@@ -8,6 +9,9 @@ from helpers import (
     bf_min_hitting,
     bf_vcover_cycles,
     bf_vpack_cycles,
+    multigraphs,
+    random_multigraph,
+    ref_exact_epack_cycles,
 )
 
 from eppack.certificates import cycles_detector, triangles_detector, verify_cover, verify_packing
@@ -25,6 +29,7 @@ from eppack.oracles import (
     exact_vpack_cycles,
     greedy_subgraph_ep,
 )
+from eppack.rng import SplitMix64
 
 K3 = MultiGraph.complete(3)
 
@@ -67,6 +72,34 @@ def test_against_brute_force():
         assert exact_vcover_cycles(g).value == bf_vcover_cycles(g)
         assert exact_epack_cycles(g).value == bf_epack_cycles(g)
         assert exact_ecover_cycles(g).value == bf_ecover_cycles(g)
+
+
+def _same_epack(g):
+    got, ref = exact_epack_cycles(g), ref_exact_epack_cycles(g)
+    assert got.value == ref.value
+    assert [(w.vertices, w.edges) for w in got.witness.members] == [
+        (w.vertices, w.edges) for w in ref.witness.members
+    ]
+    assert got.explored <= ref.explored
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=8, max_pairs=10))
+@example(MultiGraph.complete(5))
+@example(MultiGraph.petersen())
+@example(MultiGraph.theta(3))
+def test_epack_matches_reference(g):
+    # the parity term prunes only subtrees that cannot beat the incumbent,
+    # so the incumbents, and with them value and witness, stay the same
+    _same_epack(g)
+
+
+def test_epack_matches_reference_on_fixed_seeds():
+    for seed in range(40):
+        _same_epack(gnp(6 + seed % 6, 0.3 + 0.005 * seed, seed))
+    rng = SplitMix64(606)
+    for _ in range(60):
+        _same_epack(random_multigraph(rng, max_n=9, max_m=16))
 
 
 def test_multigraph_cycles():

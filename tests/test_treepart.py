@@ -1,8 +1,18 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eppack.certificates import cycles_detector, verify_cover, verify_packing
+from helpers import multigraphs, ref_inductive_edge_cover
+
+from eppack.certificates import (
+    cycles_detector,
+    triangles_detector,
+    verify_cover,
+    verify_packing,
+)
 from eppack.errors import InvalidParameter, InvalidPartition
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
@@ -16,6 +26,13 @@ from eppack.treepart import (
 )
 
 C9 = MultiGraph.cycle_graph(9)
+# BFS layers {0}, {1, 2, 3}, {4, 5}: the first round takes the triangle
+# inside the middle layer, and the square 1-4-2-5 is left for the next round
+# at the same node
+LAYER_TRIANGLE_OVER_SQUARE = MultiGraph.from_edges(
+    range(6),
+    [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (1, 5), (2, 5)],
+)
 
 
 def _c9_two_bags():
@@ -151,3 +168,24 @@ def test_randomized_cover_bound():
             else:
                 assert verify_cover(g, det, out.cover)
                 assert len(out.cover) <= k * r * (2 * r + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=12, max_pairs=18), st.integers(1, 4), st.booleans())
+@example(LAYER_TRIANGLE_OVER_SQUARE, 2, False)
+def test_inductive_edge_cover_matches_reference(g, k, triangles):
+    # resuming each round's scan where the last one stopped finds the same
+    # members, so the cover and the packing are the same
+    det = triangles_detector() if triangles else cycles_detector()
+    tp = bfs_layer_tp(g)
+    assert inductive_edge_cover(g, tp, det, k) == ref_inductive_edge_cover(g, tp, det, k)
+
+
+def test_inductive_edge_cover_on_long_path():
+    # one scan of 1,100 nodes; each subtree is a path, which shortest_cycle
+    # recognises as a forest without a BFS per edge
+    g = MultiGraph.path_graph(1100)
+    start = time.perf_counter()
+    out = inductive_edge_cover(g, bfs_layer_tp(g), cycles_detector(), 1)
+    assert out.cover is not None and not out.cover.elements
+    assert time.perf_counter() - start < 20
