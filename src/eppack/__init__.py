@@ -42,7 +42,6 @@ from .errors import (
     InvalidPartition,
     InvariantViolated,
     MixedElementKinds,
-    NoSharedEndpoint,
     OracleFailure,
     ParameterEstimateUnavailable,
     PreconditionViolated,

@@ -14,6 +14,7 @@ from .certificates import (
 )
 from .errors import (
     CeilingViolated,
+    EPError,
     InvalidDecomposition,
     InvariantViolated,
     OracleFailure,
@@ -340,7 +341,7 @@ def balanced_separation(g, ntd, pack_oracle):
     """Separation of order <= width+1 with both strict sides' packing <= 2k/3."""
     try:
         k = pack_oracle(g)
-    except Exception as exc:  # oracle contract: total on induced subgraphs
+    except EPError as exc:  # e.g. a budget ran out; a bug in the oracle propagates
         raise OracleFailure(str(exc)) from exc
     if k == 0:
         return Separation(frozenset(g.vertices), frozenset())

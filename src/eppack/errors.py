@@ -13,10 +13,6 @@ class MixedElementKinds(EPError):
     pass
 
 
-class NoSharedEndpoint(EPError):
-    pass
-
-
 class WouldCreateLoop(EPError):
     pass
 

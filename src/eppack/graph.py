@@ -13,7 +13,6 @@ from enum import Enum
 from .errors import (
     InvalidParameter,
     MixedElementKinds,
-    NoSharedEndpoint,
     UnknownIdentifier,
     WouldCreateLoop,
 )
@@ -67,6 +66,12 @@ def _canonical_cycle(vertices, edges):
     vs = tuple(vertices[s:]) + tuple(vertices[:s])
     es = tuple(edges[s:]) + tuple(edges[:s])
     return Cycle(*min((vs, es), (vs[:1] + vs[:0:-1], es[::-1])))
+
+
+def _cycle_along(adj, path):
+    """The cycle along ``path`` back to its start, on each step's smallest edge id."""
+    steps = zip(path, path[1:] + path[:1])
+    return Cycle(tuple(path), tuple(adj[a][b][0] for a, b in steps))
 
 
 class MultiGraph:
@@ -238,46 +243,6 @@ class MultiGraph:
         }
         return MultiGraph(xs, keep_e)
 
-    def contract(self, eid):
-        """Merge the endpoints of eid into a fresh vertex.
-
-        Multiplicities toward third vertices are summed; every copy between
-        the two endpoints vanishes, so no loop is ever created.
-        """
-        x, y = self.endpoints(eid)
-        w = self.next_vertex_id()
-        keep_v = (self._vertices - {x, y}) | {w}
-        keep_e = {}
-        for other, (u, v) in self._edges.items():
-            if {u, v} == {x, y}:
-                continue
-            if u in (x, y):
-                u = w
-            if v in (x, y):
-                v = w
-            keep_e[other] = (u, v)
-        return MultiGraph(keep_v, keep_e)
-
-    def lift(self, e1, e2):
-        """Replace the edge pair {x,y},{y,z} by one new copy of {x,z}."""
-        a, b = self.endpoints(e1)
-        c, d = self.endpoints(e2)
-        if e1 == e2:
-            raise NoSharedEndpoint("lift needs two distinct edges")
-        shared = {a, b} & {c, d}
-        if not shared:
-            raise NoSharedEndpoint(f"edges {e1} and {e2} share no endpoint")
-        # Pick the shared vertex; for parallel edges both choices coincide
-        # on the outer pair, which is the loop case below.
-        y = min(shared)
-        x = a if b == y else b
-        z = c if d == y else d
-        if x == z:
-            raise WouldCreateLoop(f"lifting {e1},{e2} would create a loop at {x}")
-        keep_e = {eid: uv for eid, uv in self._edges.items() if eid not in (e1, e2)}
-        keep_e[self.next_edge_id()] = (x, z)
-        return MultiGraph(self._vertices, keep_e)
-
     # -- traversal ------------------------------------------------------------
 
     def components(self):
@@ -345,70 +310,83 @@ class MultiGraph:
     def shortest_cycle(self):
         """A shortest cycle, or None on forests.
 
-        A parallel pair counts as a cycle of length 2.  Otherwise the graph
-        is simple and the result is the minimum, by length and then by
-        canonical vertex/edge sequence, over one candidate per edge: the
-        edge plus the BFS path between its endpoints that avoids it.  Edges
-        are taken in id order; the BFS visits smaller vertex ids first and
-        fixes each vertex's parent when it first reaches it, so the result
-        is deterministic.  Each BFS stops once its depth reaches
-        ``len(best) - 1``: a deeper path would close a cycle longer than
-        the best one, so the cut-off leaves the result unchanged.
+        A parallel pair counts as a cycle of length 2: the pair with the
+        smallest endpoints, with its two smallest edge ids.  Otherwise the
+        graph is simple, and the result is C, the shortest cycle whose
+        canonical vertex sequence (``_canonical_cycle``) is smallest.  C's
+        first vertex, the root, is the smallest vertex on any shortest
+        cycle.  Two passes find C, neither recursive:
+
+        - Girth (Itai & Rodeh 1978).  For each r in ascending order, a BFS
+          in G[>= r] labels each vertex with the neighbour of r it descends
+          from.  The shortest cycle through r has length min d(x) + d(y) + 1
+          over the edges xy whose ends have different labels: going round
+          that cycle the label changes at some edge, and both its ends are
+          no farther from r than along the cycle.  At depth D every edge not
+          yet seen closes a cycle of at least 2D + 1, so the BFS stops once
+          that reaches the best length; the first r to reach the girth is
+          the root, and a girth of 3 ends the scan.
+        - Cycle.  From the root, a DFS over ascending neighbours in
+          G[>= root], pruned by BFS distance back to the root, takes the
+          smallest path that closes at the root with girth length.  Its
+          reverse closes too and comes later, so the path already runs in
+          canonical direction.
+
+        C is also the minimum, by length and then canonical vertex/edge
+        sequence, over one candidate per edge: the edge plus the BFS path
+        between its endpoints that avoids it.  Every candidate is a cycle,
+        so none beats C; and a BFS over ascending neighbours gives each
+        vertex its lexicographically smallest shortest path from the
+        source, so the candidate of C's edge {v0, v_last} is C itself.
         """
-        best = None
-
-        def consider(verts, eids):
-            nonlocal best
-            cand = _canonical_cycle(verts, eids)
-            key = (len(cand), cand.vertices, cand.edges)
-            if best is None or key < (len(best), best.vertices, best.edges):
-                best = cand
-
-        for u in sorted(self._vertices):
-            for v in sorted(self._adj[u]):
-                if v < u:
-                    continue
-                ids = self._adj[u][v]
-                if len(ids) >= 2:
-                    consider([u, v], sorted(ids)[:2])
-        if best is not None:
-            return best  # length 2 is unbeatable in a loopless graph
-        if self.m - self.n + len(self.components()) == 0:
-            return None  # a forest: no BFS would find a path back
-        # simple from here on: one edge id per neighbour
-        nbrs = {
-            v: [(u, ids[0]) for u, ids in sorted(adj.items())]
-            for v, adj in self._adj.items()
-        }
-        for eid in sorted(self._edges):
-            source, target = self._edges[eid]
-            limit = self.n if best is None else len(best) - 1
-            prev = {source: None}
-            frontier = [source]
-            depth = 0
-            while frontier and depth < limit and target not in prev:
-                depth += 1
+        adj = self._adj
+        if len(self.underlying_pairs()) < self.m:
+            u, v = min(
+                (u, v) for u in adj for v, ids in adj[u].items()
+                if u < v and len(ids) > 1
+            )
+            return Cycle((u, v), tuple(adj[u][v][:2]))  # unbeatable when loopless
+        if self.m <= self.n and self.m - self.n + len(self.components()) == 0:
+            return None  # a forest; more edges than vertices always close a cycle
+        nbrs = {v: sorted(a) for v, a in adj.items()}
+        best, root, root_dist = self.n + 1, None, None
+        for r in sorted(nbrs):
+            if best == 3:
+                break
+            if len(nbrs[r]) < 2 or nbrs[r][-2] < r:
+                continue  # under two neighbours above r: r is no cycle's smallest vertex
+            dist, label = {r: 0}, {r: r}
+            frontier, depth = [r], 0
+            while frontier and 2 * depth + 1 < best:
                 grown = []
-                for v in frontier:
-                    for u, e in nbrs[v]:
-                        if u not in prev and e != eid:
-                            prev[u] = (v, e)
-                            grown.append(u)
-                    if target in prev:
-                        break
-                frontier = grown
-            if target not in prev:
-                continue
-            verts, eids = [target], [eid]
-            v = target
-            while v != source:
-                v, e = prev[v]
-                verts.append(v)
-                eids.append(e)
-            verts.reverse()
-            eids.reverse()
-            consider(verts, eids)
-        return best
+                for x in frontier:
+                    lx = label[x]
+                    for y in nbrs[x]:
+                        if y <= r:
+                            continue  # outside G[>= r], or r as the parent of x
+                        if y not in dist:
+                            dist[y] = depth + 1
+                            label[y] = lx if depth else y
+                            grown.append(y)
+                        elif label[y] != lx and depth + dist[y] + 1 < best:
+                            best, root, root_dist = depth + dist[y] + 1, r, dist
+                frontier, depth = grown, depth + 1
+        # root_dist holds every distance up to best // 2, which is all the
+        # prune reads.  Below the girth a step can revisit no vertex of the
+        # path but the one it came from.
+        path, todo = [root], [iter(nbrs[root])]
+        while True:
+            back = path[-2] if len(path) > 1 else root
+            for y in todo[-1]:
+                if y == root and len(path) == best:
+                    return _cycle_along(adj, path)
+                if y > root and y != back and root_dist.get(y, best) + len(path) <= best:
+                    path.append(y)
+                    todo.append(iter(nbrs[y]))
+                    break
+            else:
+                path.pop()
+                todo.pop()
 
     def girth(self):
         c = self.shortest_cycle()

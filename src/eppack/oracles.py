@@ -15,7 +15,7 @@ from .certificates import (
     PatternWitness,
 )
 from .errors import BudgetExceeded, InvalidParameter, InvariantViolated
-from .graph import Cycle, Mode
+from .graph import Cycle, Mode, _cycle_along
 from .iso import enumerate_copies, find_copy
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -47,81 +47,33 @@ class ExactResult:
 # -- cycle helpers ------------------------------------------------------------
 
 
-def _chordless_cycles_through(g, v):
-    """Chordless cycles containing v, as Cycle values (2-cycles included)."""
-    out = []
-    for u in g.neighbors(v):
-        ids = g.edges_between(v, u)
-        if len(ids) >= 2:
-            out.append(Cycle((v, u), (ids[0], ids[1])))
+def _chordless_cycles(h, s, t=None):
+    """Chordless cycles of length 3 or more through vertex s, in DFS order.
 
-    def emit(path):
-        eids = []
-        for a, b in zip(path, path[1:]):
-            eids.append(g.edges_between(a, b)[0])
-        eids.append(g.edges_between(path[-1], path[0])[0])
-        out.append(Cycle(tuple(path), tuple(eids)))
-
-    def dfs(path):
-        last = path[-1]
-        for u in sorted(g.neighbors(last)):
-            if u in path:
-                continue
-            # chordless: u may touch the path only at its predecessor,
-            # and may touch v only when it closes the cycle
-            if any(g.edges_between(u, w) for w in path[1:-1]):
-                continue
-            if g.edges_between(u, v):
-                if len(path) >= 2 and path[1] < u:
-                    emit(path + [u])
-                continue
-            dfs(path + [u])
-
-    for a in sorted(g.neighbors(v)):
-        dfs([v, a])
-    return out
-
-
-def _chordless_cycles_through_edge(g, eid):
-    """Chordless cycles using edge eid, shortest first.
-
-    Restricting to chordless cycles is sound for edge-disjoint packing: if
-    a maximum packing member through eid has a chord, the member plus the
-    chord's owner (or the chord alone) re-decompose into as many
-    edge-disjoint cycles with a strictly shorter member through eid.
+    Without t each cycle comes once, in the direction whose second vertex is
+    the smaller neighbour of s, and parallel edges count as one.  With t
+    only the cycles through the edge s-t come, as paths from s to t.
     """
-    u, v = g.endpoints(eid)
+    adj = h._adj
     out = []
-    for other in g.edges_between(u, v):
-        if other != eid:
-            out.append(Cycle((u, v), (other, eid)))
-    uv_simple = len(g.edges_between(u, v)) == 1
 
-    def dfs(path, eids):
+    def extend(path):
         last = path[-1]
-        for w in sorted(g.neighbors(last)):
-            if w in path:
+        for w in sorted(adj[last]):
+            # w may touch the path only at its predecessor, and s only when
+            # it closes the cycle: at t, or without t in the one direction
+            if w in path or any(x in adj[w] for x in path[1:-1]):
                 continue
-            between = g.edges_between(last, w)
-            if len(between) != 1:
-                continue  # a parallel mate would be a chord
-            if w == v:
-                # closing straight from u would reuse eid itself; the
-                # parallel 2-cycles are emitted above
-                if len(path) >= 2 and uv_simple and not any(
-                    g.edges_between(x, v) for x in path[1:-1]
-                ):
-                    out.append(
-                        Cycle(tuple(path) + (v,), tuple(eids) + (between[0], eid))
-                    )
+            if s in adj[w]:
+                if w == t if t is not None else path[1] < w:
+                    out.append(_cycle_along(adj, path + [w]))
                 continue
-            # w may touch the path only at its predecessor
-            if any(g.edges_between(x, w) for x in path[:-1]):
-                continue
-            dfs(path + [w], eids + [between[0]])
+            extend(path + [w])
 
-    dfs([u], [])
-    return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
+    for a in sorted(adj[s]):
+        if a != t:
+            extend([s, a])
+    return out
 
 
 def _pack_bound(h, mode, shortest=None):
@@ -165,7 +117,12 @@ def exact_vpack_cycles(g, budget=None):
             # any single extra cycle already improves; record greedily
             best[0], best[1] = acc + 1, list(members) + [c]
         v = min(c.vertex_set)
-        for p in _chordless_cycles_through(h, v):
+        two_cycles = [
+            Cycle((v, u), tuple(ids[:2]))
+            for u, ids in sorted(h._adj[v].items())
+            if len(ids) > 1
+        ]
+        for p in two_cycles + _chordless_cycles(h, v):
             rec(h.delete_vertices(p.vertex_set), acc + 1, members + [p])
         rec(h.delete_vertices({v}), acc, members)
 
@@ -231,7 +188,22 @@ def exact_epack_cycles(g, budget=None):
         if acc + 1 > best[0]:
             best[0], best[1] = acc + 1, list(members) + [c]
         eid = min(c.edge_set)
-        for p in _chordless_cycles_through_edge(h, eid):
+        if len(c) == 2:
+            # c is eid with its smallest parallel mate; the 2-cycles with the
+            # other mates leave isomorphic subproblems, which cannot beat the
+            # incumbent this one leaves
+            branches = [c]
+        else:
+            # h is simple, as c is not a 2-cycle.  Restricting to chordless
+            # cycles is sound: a member through eid with a chord
+            # re-decomposes, with the chord's owner (or the chord alone), into
+            # as many edge-disjoint cycles, one of them a shorter member
+            # through eid
+            branches = sorted(
+                _chordless_cycles(h, *h.endpoints(eid)),
+                key=lambda p: (len(p), p.vertices, p.edges),
+            )
+        for p in branches:
             rec(h.delete_edges(p.edge_set), acc + 1, members + [p])
         rec(h.delete_edges({eid}), acc, members)
 

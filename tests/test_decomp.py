@@ -26,7 +26,13 @@ from eppack.decomp import (
     to_nice,
     validate_td,
 )
-from eppack.errors import CeilingViolated, InvalidDecomposition, ParameterEstimateUnavailable
+from eppack.errors import (
+    BudgetExceeded,
+    CeilingViolated,
+    InvalidDecomposition,
+    OracleFailure,
+    ParameterEstimateUnavailable,
+)
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
 
@@ -199,6 +205,23 @@ def test_balanced_separation_properties():
         assert sep.order <= td.width() + 1
         for side in (sep.a - sep.b, sep.b - sep.a):
             assert 3 * det.exact_vpack(g.induced(side)) <= 2 * k
+
+
+def test_balanced_separation_wraps_only_package_errors():
+    g = MultiGraph.cycle_graph(4)
+    ntd = to_nice(g, min_fill_td(g))
+
+    def out_of_budget(h):
+        raise BudgetExceeded("search exceeded 5 nodes")
+
+    def broken(h):
+        raise TypeError("a bug in the oracle")
+
+    with pytest.raises(OracleFailure, match="exceeded 5 nodes") as info:
+        balanced_separation(g, ntd, out_of_budget)
+    assert isinstance(info.value.__cause__, BudgetExceeded)
+    with pytest.raises(TypeError, match="a bug in the oracle"):
+        balanced_separation(g, ntd, broken)
 
 
 def test_deep_trees_need_no_recursion():

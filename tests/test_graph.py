@@ -3,7 +3,6 @@ import pytest
 from eppack.errors import (
     InvalidParameter,
     MixedElementKinds,
-    NoSharedEndpoint,
     UnknownIdentifier,
     WouldCreateLoop,
 )
@@ -45,34 +44,6 @@ def test_delete_kind_inference():
     # 0 names both a vertex and an edge here: refuse to guess
     with pytest.raises(MixedElementKinds):
         MultiGraph.cycle_graph(3).delete({0})
-
-
-def test_contract_drops_parallel_copies_and_sums_multiplicity():
-    # triangle with a doubled side: contracting it merges to a 2-vertex graph
-    g = MultiGraph.from_edges(range(3), [(0, 1), (0, 1), (0, 2), (1, 2)])
-    eid = g.edges_between(0, 1)[0]
-    h = g.contract(eid)
-    assert h.n == 2
-    new = h.next_vertex_id() - 1
-    assert new == 3  # fresh vertex
-    assert len(h.edges_between(new, 2)) == 2  # multiplicities summed
-    assert h.m == 2  # both 0-1 copies dropped
-
-
-def test_lift_replaces_two_edges_by_one():
-    g = MultiGraph.path_graph(3)
-    e1, e2 = sorted(g.edges)
-    h = g.lift(e1, e2)
-    assert h.m == 1
-    assert h.edges_between(0, 2)
-    with pytest.raises(NoSharedEndpoint):
-        MultiGraph.path_graph(4).lift(0, 2)
-
-
-def test_lift_refuses_loops():
-    g = MultiGraph.from_edges(range(2), [(0, 1), (0, 1)])
-    with pytest.raises(WouldCreateLoop):
-        g.lift(0, 1)
 
 
 def test_components_and_forest():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from helpers import multigraphs, ref_canonical_cycle, ref_reduce_low_degree, ref_shortest_cycle
 
 from eppack.cycles import reduce_low_degree
-from eppack.graph import MultiGraph, _canonical_cycle
+from eppack.gen import gnp
+from eppack.graph import Cycle, MultiGraph, _canonical_cycle
 
 
 # A lone triangle reduces to a 2-cycle; which pair survives depends on the
@@ -40,10 +41,51 @@ def test_reduce_low_degree_matches_reference(g):
 @example(TRIANGLE)
 @example(MultiGraph.petersen())
 @example(MultiGraph.complete_bipartite(3, 3))
+@example(MultiGraph([], {}))
 def test_shortest_cycle_matches_reference(g):
     assert g.shortest_cycle() == ref_shortest_cycle(g)
     h = reduce_low_degree(g)[0]
     assert h.shortest_cycle() == ref_shortest_cycle(h)
+
+
+def with_pendant_trees(length, depth):
+    """A cycle on 0..length-1 whose vertices carry ``depth`` pendant vertices
+    each, as leaves and short paths."""
+    pairs = [(i, (i + 1) % length) for i in range(length)]
+    fresh = length
+    for i in range(length):
+        tip = i
+        for j in range(depth):
+            pairs.append((tip if j % 2 == 0 else i, fresh))
+            tip, fresh = fresh, fresh + 1
+    return MultiGraph.from_edges(range(fresh), pairs)
+
+
+def grid(k):
+    pairs = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    pairs += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    return MultiGraph.from_edges(range(k * k), pairs)
+
+
+def test_shortest_cycle_at_scale():
+    # where the per-edge reference is too slow, the answer is known: the
+    # long cycle in its canonical direction (its edges come first, so edge
+    # i joins i and i + 1), and the grid's first square
+    n = 2000
+    assert MultiGraph.cycle_graph(n).shortest_cycle() == Cycle(tuple(range(n)), tuple(range(n)))
+    assert with_pendant_trees(1000, 1).shortest_cycle() == Cycle(
+        tuple(range(1000)), tuple(range(1000))
+    )
+    g = grid(40)
+    square = (0, 1, 41, 40)
+    steps = zip(square, square[1:] + square[:1])
+    assert g.shortest_cycle() == Cycle(square, tuple(g.edges_between(a, b)[0] for a, b in steps))
+    for g in [with_pendant_trees(100, 3), grid(6), MultiGraph.complete(12)]:
+        assert g.shortest_cycle() == ref_shortest_cycle(g)
+    for seed in range(30):  # girths from 3 to 11, and some forests
+        n = 20 + 20 * (seed % 3)
+        for g in (gnp(n, (1 + 0.05 * seed) / n, seed), gnp(60, (1 + 0.05 * seed) / 60, seed)):
+            assert g.shortest_cycle() == ref_shortest_cycle(g)
 
 
 @st.composite

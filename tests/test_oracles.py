@@ -102,6 +102,26 @@ def test_epack_matches_reference_on_fixed_seeds():
         _same_epack(random_multigraph(rng, max_n=9, max_m=16))
 
 
+def test_epack_matches_reference_on_larger_multigraphs():
+    # up to 22 edges, many of them parallel, where the search takes a
+    # 2-cycle with one parallel mate only
+    rng = SplitMix64(909)
+    for _ in range(150):
+        _same_epack(random_multigraph(rng, max_n=9, max_m=22))
+
+
+def test_epack_branches_on_one_parallel_mate():
+    # K4 with every edge tripled: a 2-cycle on each pair, then a triangle
+    # on the six edges left.  The mates of an edge are interchangeable, so
+    # the search takes a 2-cycle with one of them only.
+    pairs = list(MultiGraph.complete(4).edges.values())
+    g = MultiGraph.from_edges(range(4), pairs * 3)
+    got = exact_epack_cycles(g)
+    assert got.value == 7
+    assert got.explored <= 67
+    assert verify_packing(g, cycles_detector(), got.witness)
+
+
 def test_multigraph_cycles():
     # two parallel pairs sharing no elements pack as two 2-cycles
     g = MultiGraph.from_edges(range(4), [(0, 1), (0, 1), (2, 3), (2, 3)])
