@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .certificates import cycles_detector, verify_cover, verify_packing
 from .cycles import ep_cycles
-from .errors import InvariantViolated
+from .errors import InvalidParameter, InvariantViolated
 from .gen import gnp, planar_stacked
 from .graph import Mode, MultiGraph
 from .oracles import (
@@ -37,11 +37,14 @@ class FuzzReport:
     violations: list = field(default_factory=list)
 
 
-def _fuzz(trials, seed, make_instance, pack_fn, cover_fn, bound):
+def _fuzz(trials, max_n, seed, make_instance, pack_fn, cover_fn, bound):
+    """``make_instance(rng, n)`` builds each trial's host, n drawn from [4, max_n]."""
+    if trials < 0 or max_n < 4:
+        raise InvalidParameter("fuzz needs trials >= 0 and max_n >= 4")
     rng = SplitMix64(seed)
     report = FuzzReport(trials, seed)
     for trial in range(trials):
-        g = make_instance(rng)
+        g = make_instance(rng, rng.randint(4, max_n))
         pack = pack_fn(g)
         cover = cover_fn(g)
         if pack > cover:
@@ -59,13 +62,13 @@ def fuzz_tuza(trials, max_n, seed):
     """Exact triangle edge pack vs edge cover; flags ratio above 2."""
     k3 = MultiGraph.complete(3)
 
-    def make(rng):
-        n = rng.randint(4, max_n)
+    def make(rng, n):
         p = 0.3 + 0.5 * rng.random()
         return gnp(n, p, rng.next_u64())
 
     return _fuzz(
         trials,
+        max_n,
         seed,
         make,
         lambda g: exact_pack_subgraph(g, k3, Mode.EDGE).value,
@@ -77,13 +80,13 @@ def fuzz_tuza(trials, max_n, seed):
 def fuzz_jones(trials, max_n, seed):
     """Exact cycle vertex pack vs feedback vertex set on planar hosts."""
 
-    def make(rng):
-        n = rng.randint(4, max_n)
+    def make(rng, n):
         deletions = rng.randint(0, n)
         return planar_stacked(n, deletions, rng.next_u64())
 
     return _fuzz(
         trials,
+        max_n,
         seed,
         make,
         lambda g: exact_vpack_cycles(g).value,

@@ -10,15 +10,21 @@ from .rng import SplitMix64
 
 
 def gnp(n, p, seed):
-    """Simple binomial random graph on vertices 0..n-1."""
+    """Simple binomial random graph on vertices 0..n-1.
+
+    Pair (u, v), u < v, gets the row-major draw u(n-1) - u(u-1)/2 + v-u-1
+    of the seed's stream, and is an edge when that draw's ``random()`` is
+    below p; edges are listed in that order.
+    """
     if n < 0 or not (0.0 <= p <= 1.0):
         raise InvalidParameter("gnp needs n >= 0 and p in [0, 1]")
-    rng = SplitMix64(seed)
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
+    u, row_start, row_end = 0, 0, n - 1  # row u holds draws [row_start, row_end)
+    for i in SplitMix64(seed).below(n * (n - 1) // 2, p):
+        while i >= row_end:
+            u += 1
+            row_start, row_end = row_end, row_end + n - 1 - u
+        edges.append((u, u + 1 + i - row_start))
     return MultiGraph.from_edges(range(n), edges)
 
 

@@ -23,6 +23,7 @@ from eppack.decomp import _td_from_elimination
 from eppack.graph import Cycle, Mode, MultiGraph, postorder, subtree_unions
 from eppack.iso import enumerate_cycles
 from eppack.oracles import ExactResult
+from eppack.rng import SplitMix64
 from eppack.treepart import tp_width
 
 
@@ -111,6 +112,17 @@ def multigraphs(draw, max_n=10, max_pairs=14, simple=False, min_n=1):
     eids = draw(st.lists(st.integers(0, 4 * max_pairs), min_size=len(pairs),
                          max_size=len(pairs), unique=True))
     return MultiGraph(verts, dict(zip(eids, pairs)))
+
+
+def ref_gnp(n, p, seed):
+    """``gen.gnp`` drawn one ``random()`` call per vertex pair, row by row."""
+    rng = SplitMix64(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v))
+    return MultiGraph.from_edges(range(n), edges)
 
 
 def random_multigraph(rng, max_n=9, max_m=16):

@@ -188,6 +188,17 @@ def test_verify_round_trip(tmp_path, triangle_file, capsys):
     assert main(["verify", "-i", triangle_file, "-c", str(cert)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "tuza", "--max-n", "3"],
+    ["fuzz", "jones", "--max-n", "2"],
+    ["fuzz", "tuza", "--trials", "-1"],
+])
+def test_fuzz_rejects_bad_sizes(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_error_exit_code(capsys):
     assert main(["cycles", "-i", "/nonexistent/file.gr", "-k", "1"]) == 2
     assert "error:" in capsys.readouterr().err

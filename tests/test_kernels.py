@@ -3,17 +3,30 @@
 ``reduce_low_degree``, ``shortest_cycle`` and ``_canonical_cycle`` must return
 exactly what the per-step rebuild, the uncut per-edge BFS and the scan of
 every rotation return: the same events, the same reduced graph (edge order
-included) and the same canonical cycle.
+included) and the same canonical cycle.  The generator is pinned the same
+way: ``SplitMix64`` to the published splitmix64 outputs, ``below`` to one
+``random()`` call per draw and ``gnp`` to ``helpers.ref_gnp``.
 """
+
+import math
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import multigraphs, ref_canonical_cycle, ref_reduce_low_degree, ref_shortest_cycle
+from helpers import (
+    multigraphs,
+    ref_canonical_cycle,
+    ref_gnp,
+    ref_reduce_low_degree,
+    ref_shortest_cycle,
+)
 
 from eppack.cycles import reduce_low_degree
 from eppack.gen import gnp
 from eppack.graph import Cycle, MultiGraph, _canonical_cycle
+from eppack.rng import _LANES, SplitMix64
 
 
 # A lone triangle reduces to a 2-cycle; which pair survives depends on the
@@ -107,3 +120,57 @@ def test_canonical_cycle_matches_reference(seqs):
     verts, eids = seqs
     assert _canonical_cycle(verts, eids) == ref_canonical_cycle(verts, eids)
     assert _canonical_cycle(tuple(verts), tuple(eids)) == ref_canonical_cycle(verts, eids)
+
+
+def test_splitmix64_known_answers():
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(5)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+
+
+def test_randrange_bounds():
+    for n in (0, -1, 2**64 + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(5).randrange(n)
+    assert SplitMix64(5).randrange(2**64) == SplitMix64(5).next_u64()
+
+
+def _draw_by_draw(rng, count, p):
+    return [i for i in range(count) if rng.random() < p]
+
+
+# counts on both sides of chunk edges
+@pytest.mark.parametrize(
+    "count", [0, 1, _LANES - 1, _LANES, _LANES + 1, 4095, 4096, 4097, 2 * 4096 + 1]
+)
+def test_below_matches_draw_by_draw(count):
+    seeded = SplitMix64(count)
+    ps = [0.0, 1.0, 1e-12, 1 - 2**-53] + [seeded.random() for _ in range(3)]
+    # a draw's own value is not below itself, and the next float up is
+    ps += [SplitMix64(count).random(), math.nextafter(SplitMix64(count).random(), 1.0)]
+    for p in ps:
+        fast, ref = SplitMix64(count), SplitMix64(count)
+        assert fast.below(count, p) == _draw_by_draw(ref, count, p)
+        assert fast.next_u64() == ref.next_u64()
+
+
+def test_below_rejects_p_outside_unit_interval():
+    for p in (-1e-300, math.nextafter(1.0, 2.0), float("nan")):
+        with pytest.raises(ValueError):
+            SplitMix64(1).below(10, p)
+
+
+def test_gnp_matches_draw_by_draw():
+    # 45 and 91 vertices have 990 and 4095 pairs, 46 and 92 have 1035 and 4186
+    cases = [(n, p, seed) for n in (0, 1, 2, 45, 46, 91, 92, 93, 200)
+             for p, seed in ((0.0, 1), (1.0, 2), (0.05, 3), (0.5, 4), (3 / max(n, 3), 5))]
+    for n, p, seed in cases + [(800, 3 / 800, 6)]:
+        g, ref = gnp(n, p, seed), ref_gnp(n, p, seed)
+        assert g.vertices == ref.vertices
+        assert list(g.edges.items()) == list(ref.edges.items())
