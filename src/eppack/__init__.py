@@ -41,9 +41,7 @@ from .errors import (
     InvalidParameter,
     InvalidPartition,
     InvariantViolated,
-    MixedElementKinds,
     OracleFailure,
-    ParameterEstimateUnavailable,
     PreconditionViolated,
     RoutingFailed,
     UnknownIdentifier,

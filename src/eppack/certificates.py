@@ -9,7 +9,13 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InvalidParameter
 from .graph import Mode, MultiGraph
-from .iso import connected_subsets, enumerate_copies, enumerate_cycles, find_copy
+from .iso import (
+    ENUMERATION_CAP,
+    connected_subsets,
+    enumerate_copies,
+    enumerate_cycles,
+    find_copy,
+)
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,10 @@ class PatternDetector:
             w = PatternWitness(frozenset(touched), w.edges)
         return w
 
-    def enumerate(self, g, cap=None):
+    def enumerate(self, g):
         if self._enumerate is None:
             raise InvalidParameter(f"detector {self.name} cannot enumerate")
-        return self._enumerate(g, cap)
+        return self._enumerate(g)
 
     def exact_vpack(self, g):
         if self._exact_vpack is None:
@@ -217,8 +223,8 @@ def cycles_detector():
         c = g.shortest_cycle()
         return None if c is None else PatternWitness.from_cycle(c)
 
-    def enumerate_witnesses(g, cap=None):
-        return [PatternWitness.from_cycle(c) for c in enumerate_cycles(g, cap)]
+    def enumerate_witnesses(g):
+        return [PatternWitness.from_cycle(c) for c in enumerate_cycles(g)]
 
     def exact_vpack(g):
         from . import oracles
@@ -235,23 +241,15 @@ def cycles_detector():
     )
 
 
-@dataclass(frozen=True)
-class ThetaWitness(PatternWitness):
-    """Two disjoint connected sets with >= t edges between them."""
-
-    side_a: frozenset = frozenset()
-    side_b: frozenset = frozenset()
-    cross_edges: frozenset = frozenset()
-
-
 def _spanning_edges(g, xs):
     return set(g.induced(xs).spanning_forest_edges())
 
 
-def theta_detector(t, budget=200_000):
+def theta_detector(t):
     """Detector for graphs with a theta_t minor (t parallel edges).
 
-    Exact under the subset-enumeration budget; t = 2 reduces to cycles.
+    A witness is two disjoint connected sets with >= t edges between them.
+    Exact up to ENUMERATION_CAP vertex subsets; t = 2 reduces to cycles.
     """
     if t < 2:
         raise InvalidParameter("theta detector needs t >= 2")
@@ -265,10 +263,10 @@ def theta_detector(t, budget=200_000):
             b = frozenset(c.vertices[1:])
             cross = frozenset(c.edges[:1] + c.edges[-1:])
             ew = _spanning_edges(g, b)
-            return ThetaWitness(a | b, frozenset(cross) | frozenset(ew), a, b, cross)
-        if g.n > 1 and budget is not None and 2 ** g.n > budget:
+            return PatternWitness(a | b, cross | frozenset(ew))
+        if g.n > 1 and 2 ** g.n > ENUMERATION_CAP:
             raise BudgetExceeded(f"host too large for exhaustive theta_{t} search")
-        for a in connected_subsets(g, cap=budget):
+        for a in connected_subsets(g):
             rest = g.vertices - a
             if not rest:
                 continue
@@ -284,7 +282,7 @@ def theta_detector(t, budget=200_000):
                         | frozenset(_spanning_edges(g, comp))
                         | cross
                     )
-                    return ThetaWitness(a | comp, edges, a, comp, cross)
+                    return PatternWitness(a | comp, edges)
         return None
 
     return PatternDetector(
@@ -304,10 +302,8 @@ def fixed_subgraph_detector(pattern, name):
             return None
         return PatternWitness(got[0], got[1])
 
-    def enumerate_witnesses(g, cap=None):
-        return [
-            PatternWitness(vs, es) for vs, es in enumerate_copies(g, pattern, cap=cap)
-        ]
+    def enumerate_witnesses(g):
+        return [PatternWitness(vs, es) for vs, es in enumerate_copies(g, pattern)]
 
     maxdeg = max((pattern.degree(v) for v in pattern.vertices), default=0)
     return PatternDetector(

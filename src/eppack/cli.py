@@ -26,7 +26,7 @@ from .decomp import (
     to_nice,
     validate_td,
 )
-from .errors import EPError
+from .errors import EPError, InvalidParameter
 from .graph import Mode, MultiGraph
 from .trees import gallai, rs_selection
 
@@ -51,6 +51,15 @@ def _pattern_graph(name):
     if os.path.exists(name):
         return io.read_gr(name)
     raise EPError(f"unknown pattern {name!r}")
+
+
+def _detector(name):
+    dets = builtin_detectors()
+    if name not in dets:
+        raise InvalidParameter(
+            f"unknown pattern family {name!r}; choose from {', '.join(sorted(dets))}"
+        )
+    return dets[name]
 
 
 def _emit(args, text):
@@ -97,15 +106,15 @@ def cmd_oracle(args):
             if args.which == "pack-sub"
             else oracles.exact_cover_subgraph
         )
-        result = fn(g, pattern, mode, budget=args.budget)
+        result = fn(g, pattern, mode)
     else:
         fn = {
             "vpack-cycles": oracles.exact_vpack_cycles,
             "vcover-cycles": oracles.exact_vcover_cycles,
             "epack-cycles": oracles.exact_epack_cycles,
-            "ecover-cycles": lambda h, budget=None: oracles.exact_ecover_cycles(h),
+            "ecover-cycles": oracles.exact_ecover_cycles,
         }[args.which]
-        result = fn(g, budget=args.budget)
+        result = fn(g)
     print(result.value)
     if args.output:
         io.write_certificate(result.witness, args.output)
@@ -145,25 +154,22 @@ def cmd_decomp(args):
         ntd = to_nice(g, td)
         _emit(args, io.format_td(ntd.to_td(), g.n))
         return EXIT_OK
-    dets = builtin_detectors()
     if args.action == "separate":
+        det = _detector(args.patterns)
         ntd = to_nice(g, td)
-        det = dets[args.patterns]
         sep = balanced_separation(g, ntd, det.exact_vpack)
         _emit_json(args, {"a": sorted(sep.a), "b": sorted(sep.b)})
         return EXIT_OK
     if args.action == "cover":
-        det = dets[args.patterns]
+        det = _detector(args.patterns)
         coeff = args.ceiling_coeff or max(1, td.width())
-        ceiling = Ceiling(lambda k: coeff * k, f"linear, coefficient {coeff}")
+        ceiling = Ceiling(lambda k: coeff * k)
         cover = cover_connected_bounded_tw(g, det, ceiling, td)
         _emit(args, io.format_certificate(cover, None, None))
         return EXIT_COVER if cover.elements else EXIT_OK
     # disconnected
-    names = args.patterns.split(",")
-    outcome = disconnected_pattern_ep(
-        g, td, [dets[name] for name in names], args.k
-    )
+    dets = [_detector(name) for name in args.patterns.split(",")]
+    outcome = disconnected_pattern_ep(g, td, dets, args.k)
     return _emit_outcome(args, outcome)
 
 
@@ -177,7 +183,7 @@ def cmd_tp(args):
     if args.action == "width":
         print(treepart.tp_width(g, tp))
         return EXIT_OK
-    det = builtin_detectors()[args.patterns]
+    det = _detector(args.patterns)
     outcome = treepart.inductive_edge_cover(g, tp, det, args.k)
     return _emit_outcome(args, outcome)
 
@@ -194,10 +200,17 @@ def cmd_gadget(args):
         else:
             gadget = gadgets.thicken(h, args.k)
     else:
+        if args.input is None:
+            raise InvalidParameter("gadget route needs -i, a gadget .meta file")
+        try:
+            forbidden = frozenset(
+                int(tok) for tok in args.x.split(",") if tok.strip()
+            )
+        except ValueError:
+            raise InvalidParameter(
+                f"-x takes comma-separated vertex ids, got {args.x!r}"
+            ) from None
         gadget = io.read_gadget_meta(args.input)
-        forbidden = frozenset(
-            int(tok) for tok in args.x.split(",") if tok.strip()
-        )
         model = gadgets.route_avoiding(gadget, forbidden)
         _emit_json(args, io.model_to_dict(model))
         return EXIT_OK
@@ -229,7 +242,7 @@ def cmd_bench(args):
 def cmd_verify(args):
     g = io.read_gr(args.input)
     cert = io.read_certificate(args.certificate)
-    det = builtin_detectors()[args.patterns]
+    det = _detector(args.patterns)
     if isinstance(cert, PackingCertificate):
         check = verify_packing(g, det, cert)
     else:
@@ -267,7 +280,6 @@ def build_parser():
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--pattern", default="k3")
     p.add_argument("--mode", default="v", choices=["v", "e"])
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_oracle)
 

@@ -18,13 +18,11 @@ from .errors import (
     InvalidDecomposition,
     InvariantViolated,
     OracleFailure,
-    ParameterEstimateUnavailable,
 )
 from .graph import Mode, MultiGraph, postorder, subtree_unions
 from .trees import SubtreeFamily, gallai, rs_selection
 
 EXACT_TD_MAX_N = 15  # the subset DP takes 2^n memory and time
-WITNESS_CAP = 100_000  # witnesses enumerated per family of a disconnected pattern
 CEILING_SAMPLES = ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5))
 
 
@@ -386,7 +384,6 @@ class Ceiling:
     """Caller-supplied monotone superadditive bound on the parameter."""
 
     f: object  # callable int -> int
-    note: str = ""
 
     def check(self):
         """Superadditivity and monotonicity on the CEILING_SAMPLES pairs."""
@@ -411,18 +408,26 @@ def cover_connected_bounded_tw(g, det, ceiling, td=None):
     """
     if td is None:
         td = min_fill_td(g)
+    # every graph solved below is an induced subgraph of g, so its vertex
+    # set names it; balanced_separation re-asks for h and for its parts
+    packs = {}
+
+    def vpack(h):
+        if h.vertices not in packs:
+            packs[h.vertices] = det.exact_vpack(h)
+        return packs[h.vertices]
 
     def rec(h, td_h):
         if det.find(h) is None:
             return set()
-        k = det.exact_vpack(h)
+        k = vpack(h)
         w = td_h.width()
         if w > ceiling.f(k):
             raise CeilingViolated(
                 f"observed width {w} exceeds ceiling f({k})={ceiling.f(k)}"
             )
         ntd = to_nice(h, td_h)
-        sep = balanced_separation(h, ntd, det.exact_vpack)
+        sep = balanced_separation(h, ntd, vpack)
         cov = set(sep.a & sep.b)
         for side in (sep.a - sep.b, sep.b - sep.a):
             cov |= rec(h.induced(side), _restrict_td(td_h, side))
@@ -450,7 +455,7 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
     witness_lists = []
     trace_lists = []
     for det in component_detectors:
-        ws = det.enumerate(g, WITNESS_CAP)
+        ws = det.enumerate(g)
         traces = []
         for w in ws:
             tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)
@@ -512,8 +517,6 @@ def compose_ep(ceiling, solver_family, pack_estimator):
     """General solver from a ceiling and per-parameter-bound solvers."""
 
     def solve(g):
-        if pack_estimator is None:
-            raise ParameterEstimateUnavailable("no packing estimator supplied")
         k = pack_estimator(g)
         solver = solver_family(ceiling.f(k))
         return solver(g)

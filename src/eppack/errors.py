@@ -9,10 +9,6 @@ class UnknownIdentifier(EPError):
     pass
 
 
-class MixedElementKinds(EPError):
-    pass
-
-
 class WouldCreateLoop(EPError):
     pass
 
@@ -43,10 +39,6 @@ class OracleFailure(EPError):
 
 class CeilingViolated(EPError):
     """The caller-supplied ceiling is contradicted by the observed parameter."""
-
-
-class ParameterEstimateUnavailable(EPError):
-    pass
 
 
 class PreconditionViolated(EPError):

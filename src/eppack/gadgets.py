@@ -167,7 +167,7 @@ def thicken(h, k):
     )
 
 
-def _replace_by_caterpillars(gadget, targets, variant):
+def _replace_by_caterpillars(gadget, targets):
     """Replace each target vertex by a left-leaning caterpillar.
 
     Spine vertices inherit the replaced vertex's class memberships, so the
@@ -235,7 +235,7 @@ def _replace_by_caterpillars(gadget, targets, variant):
         graph=new,
         labels=labels,
         k=gadget.k,
-        variant=variant,
+        variant="subdivision-subcubic",
         pattern=gadget.pattern,
         copies={v: remap(vs) for v, vs in gadget.copies.items()},
         columns={key: remap(vs) for key, vs in gadget.columns.items()},
@@ -250,7 +250,7 @@ def thicken_subcubic(h, k):
     base = thicken(h, k)
     g = base.graph
     targets = [v for v in g.vertices if g.degree(v) >= 4]
-    out = _replace_by_caterpillars(base, targets, "subdivision-subcubic")
+    out = _replace_by_caterpillars(base, targets)
     if any(out.graph.degree(v) > 3 for v in out.graph.vertices):
         raise InvariantViolated("subcubic thickening has a vertex of degree > 3")
     return out

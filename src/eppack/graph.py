@@ -10,12 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    InvalidParameter,
-    MixedElementKinds,
-    UnknownIdentifier,
-    WouldCreateLoop,
-)
+from .errors import InvalidParameter, UnknownIdentifier, WouldCreateLoop
 
 
 class Mode(Enum):
@@ -53,19 +48,6 @@ class Cycle:
     @property
     def edge_set(self):
         return frozenset(self.edges)
-
-
-def _canonical_cycle(vertices, edges):
-    """Rotate/reflect so the vertex sequence is lexicographically smallest.
-
-    The vertices are distinct, so that sequence starts at the smallest one
-    and only its two directions compete; on a 2-cycle they differ only in
-    the order of the edges, which then breaks the tie.
-    """
-    s = vertices.index(min(vertices))
-    vs = tuple(vertices[s:]) + tuple(vertices[:s])
-    es = tuple(edges[s:]) + tuple(edges[:s])
-    return Cycle(*min((vs, es), (vs[:1] + vs[:0:-1], es[::-1])))
 
 
 def _cycle_along(adj, path):
@@ -212,26 +194,11 @@ class MultiGraph:
         keep_e = {eid: uv for eid, uv in self._edges.items() if eid not in xs}
         return MultiGraph(self._vertices, keep_e)
 
-    def delete(self, xs, mode=None):
-        """Delete a set of vertices or a set of edges (never a mixture)."""
-        xs = set(xs)
+    def delete(self, xs, mode):
+        """Delete a set of vertices or a set of edges, as mode says."""
         if mode is Mode.VERTEX:
             return self.delete_vertices(xs)
-        if mode is Mode.EDGE:
-            return self.delete_edges(xs)
-        fits_v = xs <= self._vertices
-        fits_e = xs <= set(self._edges)
-        if fits_v and fits_e and xs:
-            raise MixedElementKinds(
-                f"{sorted(xs)} is ambiguous; pass an explicit mode"
-            )
-        if fits_v:
-            return self.delete_vertices(xs)
-        if fits_e:
-            return self.delete_edges(xs)
-        if xs & self._vertices and xs & set(self._edges):
-            raise MixedElementKinds(f"{sorted(xs)} mixes vertex and edge ids")
-        raise UnknownIdentifier(f"{sorted(xs)} not all vertices nor all edges")
+        return self.delete_edges(xs)
 
     def induced(self, xs):
         xs = set(xs)
@@ -313,9 +280,10 @@ class MultiGraph:
         A parallel pair counts as a cycle of length 2: the pair with the
         smallest endpoints, with its two smallest edge ids.  Otherwise the
         graph is simple, and the result is C, the shortest cycle whose
-        canonical vertex sequence (``_canonical_cycle``) is smallest.  C's
-        first vertex, the root, is the smallest vertex on any shortest
-        cycle.  Two passes find C, neither recursive:
+        canonical vertex sequence (its lexicographically smallest rotation
+        or reflection) is smallest.  C's first vertex, the root, is the
+        smallest vertex on any shortest cycle.  Two passes find C, neither
+        recursive:
 
         - Girth (Itai & Rodeh 1978).  For each r in ascending order, a BFS
           in G[>= r] labels each vertex with the neighbour of r it descends

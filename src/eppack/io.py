@@ -201,11 +201,6 @@ def read_family(path):
     return parse_family(_read_text(path))
 
 
-def write_family(fam, path):
-    with open(path, "w") as fh:
-        fh.write(format_family(fam))
-
-
 # -- certificates ---------------------------------------------------------------------
 
 

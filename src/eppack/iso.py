@@ -1,16 +1,20 @@
 """Backtracking subgraph search and cycle enumeration for small patterns."""
 
 from .errors import BudgetExceeded
-from .graph import Cycle, _canonical_cycle
+from .graph import Cycle
+
+# The most copies, cycles or connected subsets one enumeration may produce,
+# and the most vertex subsets an exhaustive theta search may scan.
+ENUMERATION_CAP = 200_000
 
 
-def enumerate_copies(host, pattern, cap=None, first_only=False):
+def enumerate_copies(host, pattern, first_only=False):
     """All subgraphs of host isomorphic to pattern, as (vertices, edges) pairs.
 
     Distinct parallel-edge choices yield distinct copies, which is what
     edge-disjoint packing needs.  Results are deduplicated and sorted, so
     enumeration order is deterministic.  Raises BudgetExceeded when more
-    than cap copies are produced.
+    than ENUMERATION_CAP copies are produced.
     """
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     pedges = sorted(pattern.edges)
@@ -77,9 +81,9 @@ def enumerate_copies(host, pattern, cap=None, first_only=False):
             copies.add(copy)
             if first_only:
                 return [copy]
-            if cap is not None and len(copies) > cap:
+            if len(copies) > ENUMERATION_CAP:
                 raise BudgetExceeded(
-                    f"more than {cap} copies of pattern in host"
+                    f"more than {ENUMERATION_CAP} copies of pattern in host"
                 )
     return sorted(copies, key=lambda c: (sorted(c[0]), sorted(c[1])))
 
@@ -90,17 +94,21 @@ def find_copy(host, pattern):
     return got[0] if got else None
 
 
-def enumerate_cycles(g, cap=None):
+def enumerate_cycles(g):
     """All cycles of g (2-cycles from parallel pairs included), canonical.
 
-    Raises BudgetExceeded past cap.  Intended for desk-scale hosts.
+    Each cycle starts at its smallest vertex and runs in the direction whose
+    second vertex is the smaller; a 2-cycle lists its smaller edge id first.
+    That makes (vertices, edges) the lexicographically smallest rotation or
+    reflection.  Raises BudgetExceeded past ENUMERATION_CAP.  Intended for
+    desk-scale hosts.
     """
     out = []
 
     def push(cycle):
         out.append(cycle)
-        if cap is not None and len(out) > cap:
-            raise BudgetExceeded(f"more than {cap} cycles in host")
+        if len(out) > ENUMERATION_CAP:
+            raise BudgetExceeded(f"more than {ENUMERATION_CAP} cycles in host")
 
     verts = sorted(g.vertices)
     for u in verts:
@@ -127,11 +135,7 @@ def enumerate_cycles(g, cap=None):
                         continue
                     if u == s:
                         if len(path) >= 3 and path[1] < path[-1]:
-                            push(
-                                _canonical_cycle(
-                                    list(path), path_edges + [eid]
-                                )
-                            )
+                            push(Cycle(tuple(path), tuple(path_edges + [eid])))
                         continue
                     if u in on_path:
                         continue
@@ -147,7 +151,7 @@ def enumerate_cycles(g, cap=None):
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
 
 
-def connected_subsets(g, cap=None):
+def connected_subsets(g):
     """All connected vertex subsets, grown from their smallest member."""
     out = []
     verts = sorted(g.vertices)
@@ -157,8 +161,8 @@ def connected_subsets(g, cap=None):
         while stack:
             subset, forbidden = stack.pop()
             out.append(subset)
-            if cap is not None and len(out) > cap:
-                raise BudgetExceeded(f"more than {cap} connected subsets")
+            if len(out) > ENUMERATION_CAP:
+                raise BudgetExceeded(f"more than {ENUMERATION_CAP} connected subsets")
             frontier = sorted(
                 {
                     u

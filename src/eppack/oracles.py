@@ -19,16 +19,21 @@ from .graph import Cycle, Mode, _cycle_along
 from .iso import enumerate_copies, find_copy
 
 DEFAULT_NODE_CAP = 10_000_000
-COPY_CAP = 100_000
 
 
 def default_budget():
-    return int(os.environ.get("EP_BUDGET", DEFAULT_NODE_CAP))
+    text = os.environ.get("EP_BUDGET", str(DEFAULT_NODE_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameter(f"EP_BUDGET must be an integer, got {text!r}") from None
 
 
-class _Counter:
-    def __init__(self, cap):
-        self.cap = cap
+class NodeCounter:
+    """Search nodes of one exact search, capped by the EP_BUDGET setting."""
+
+    def __init__(self):
+        self.cap = default_budget()
         self.nodes = 0
 
     def tick(self):
@@ -99,9 +104,9 @@ def _pack_bound(h, mode, shortest=None):
 # -- exact cycle packing / covering -------------------------------------------
 
 
-def exact_vpack_cycles(g, budget=None):
+def exact_vpack_cycles(g):
     """Maximum number of vertex-disjoint cycles, with witness."""
-    counter = _Counter(budget or default_budget())
+    counter = NodeCounter()
     best = [0, []]
 
     def rec(h, acc, members):
@@ -133,9 +138,9 @@ def exact_vpack_cycles(g, budget=None):
     return ExactResult(best[0], witness, counter.nodes)
 
 
-def exact_vcover_cycles(g, budget=None):
+def exact_vcover_cycles(g):
     """Minimum feedback vertex set, with witness."""
-    counter = _Counter(budget or default_budget())
+    counter = NodeCounter()
 
     def attempt(h, size_left, chosen):
         counter.tick()
@@ -158,9 +163,9 @@ def exact_vcover_cycles(g, budget=None):
     raise InvariantViolated("unreachable: deleting all vertices leaves a forest")
 
 
-def exact_epack_cycles(g, budget=None):
+def exact_epack_cycles(g):
     """Maximum number of edge-disjoint cycles, with witness."""
-    counter = _Counter(budget or default_budget())
+    counter = NodeCounter()
     # greedy shortest-cycle packing seeds the incumbent so pruning bites
     # from the first branch
     residue, seed = g, []
@@ -230,7 +235,7 @@ def exact_ecover_cycles(g):
 
 
 def _copies_with_elements(g, pattern, mode):
-    copies = enumerate_copies(g, pattern, cap=COPY_CAP)
+    copies = enumerate_copies(g, pattern)
     out = []
     for vs, es in copies:
         elems = vs if mode is Mode.VERTEX else es
@@ -248,13 +253,13 @@ def _greedy_disjoint(copies):
     return picked
 
 
-def exact_pack_subgraph(g, pattern, mode, budget=None):
+def exact_pack_subgraph(g, pattern, mode):
     """Maximum A_x-disjoint packing of copies of a fixed pattern.
 
     Branches on a least-covered element: either some member contains it
     (one branch per candidate copy) or no member does.
     """
-    counter = _Counter(budget or default_budget())
+    counter = NodeCounter()
     copies = _copies_with_elements(g, pattern, mode)
     per_copy = len(pattern.vertices) if mode is Mode.VERTEX else pattern.m
     if mode is Mode.EDGE and per_copy == 0:
@@ -289,9 +294,9 @@ def exact_pack_subgraph(g, pattern, mode, budget=None):
     )
 
 
-def exact_cover_subgraph(g, pattern, mode, budget=None):
+def exact_cover_subgraph(g, pattern, mode):
     """Minimum A_x hitting set destroying all copies of a fixed pattern."""
-    counter = _Counter(budget or default_budget())
+    counter = NodeCounter()
     copies = _copies_with_elements(g, pattern, mode)
     # dedup, then drop supersets: hitting the subset hits them for free
     distinct = sorted(set(elems for _, elems in copies), key=sorted)

@@ -1,8 +1,8 @@
 """Exact min-max machinery for subtrees of a tree.
 
 gallai realizes the packing/covering equality for subtree families via the
-deepest-topmost-vertex greedy; rs_selection is a budgeted witness search
-for the multi-family disjoint selection statement.
+deepest-topmost-vertex greedy; rs_selection is a witness search for the
+multi-family disjoint selection statement, capped like the exact oracles.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,9 @@ from .certificates import (
     PatternDetector,
     PatternWitness,
 )
-from .errors import BudgetExceeded, InvalidFamily, InvalidParameter
+from .errors import InvalidFamily, InvalidParameter
 from .graph import Mode
+from .oracles import NodeCounter
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ def gallai(fam):
 
     Root at the smallest vertex; repeatedly pick the remaining member whose
     topmost vertex is deepest, put that vertex in the cover, and discard
-    every member through it.
+    every member through it.  Ties go to the smaller topmost vertex, then
+    the smaller member index, so one sweep in that order makes the picks.
     """
     fam.validate()
     tree = fam.tree
@@ -57,21 +59,14 @@ def gallai(fam):
     tops = []
     for i, mem in enumerate(fam.members):
         top = min(mem, key=lambda v: (depth[v], v))
-        tops.append((depth[top], top, i))
+        tops.append((-depth[top], top, i))
 
-    alive = set(range(len(fam.members)))
     chosen = []
-    cover = []
-    while alive:
-        # deepest topmost vertex; ties by vertex id then member index
-        pick = max(
-            (tops[i] for i in sorted(alive)),
-            key=lambda t: (t[0], -t[1], -t[2]),
-        )
-        _, top, idx = pick
-        chosen.append(idx)
-        cover.append(top)
-        alive = {i for i in alive if top not in fam.members[i]}
+    cover = set()
+    for _, top, idx in sorted(tops):
+        if cover.isdisjoint(fam.members[idx]):
+            chosen.append(idx)
+            cover.add(top)
 
     members = tuple(
         PatternWitness(
@@ -101,7 +96,7 @@ def family_detector(fam):
     return PatternDetector("subtree-family", find, connected_patterns=True)
 
 
-def rs_selection(tree, family_members, k, budget=1_000_000):
+def rs_selection(tree, family_members, k):
     """k members per family, globally vertex-disjoint, or None.
 
     Backtracking over families in order; guaranteed to succeed whenever each
@@ -114,12 +109,10 @@ def rs_selection(tree, family_members, k, budget=1_000_000):
     q = len(fams)
     slots = [(i, j) for i in range(q) for j in range(k)]
     picked = [[] for _ in range(q)]
-    nodes = [0]
+    counter = NodeCounter()
 
     def rec(s, used):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"selection search exceeded {budget} nodes")
+        counter.tick()
         if s == len(slots):
             return True
         i, j = slots[s]

@@ -65,13 +65,13 @@ def _max_disjoint(sets):
     return best
 
 
-def bf_vpack_cycles(g, cap=200_000):
-    cycles = enumerate_cycles(g, cap)
+def bf_vpack_cycles(g):
+    cycles = enumerate_cycles(g)
     return _max_disjoint([c.vertex_set for c in cycles])
 
 
-def bf_epack_cycles(g, cap=200_000):
-    cycles = enumerate_cycles(g, cap)
+def bf_epack_cycles(g):
+    cycles = enumerate_cycles(g)
     return _max_disjoint([c.edge_set for c in cycles])
 
 
@@ -147,10 +147,10 @@ def random_multigraph(rng, max_n=9, max_m=16):
 # -- reference kernels ----------------------------------------------------------
 #
 # Plain versions of ``reduce_low_degree`` (a rescan and a full rebuild per
-# step), ``shortest_cycle`` (an uncut BFS per edge) and ``_canonical_cycle``
-# (every rotation in both directions).  The tests require the package's
-# worklist, cut-off and two-candidate kernels to return exactly what these
-# return.
+# step), ``shortest_cycle`` (an uncut BFS per edge) and of the canonical form
+# of a cycle (every rotation in both directions).  The tests require the
+# package's worklist and cut-off kernels, and the cycles that
+# ``enumerate_cycles`` yields, to match what these return.
 
 
 def ref_canonical_cycle(vertices, edges):

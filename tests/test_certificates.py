@@ -93,9 +93,10 @@ def test_theta_detector_small_t():
 
 
 def test_theta_budget():
-    det = theta_detector(3, budget=100)
+    # 2^18 vertex subsets are more than ENUMERATION_CAP
+    det = theta_detector(3)
     with pytest.raises(BudgetExceeded):
-        det.find(MultiGraph.complete(10))
+        det.find(MultiGraph.path_graph(18))
 
 
 def test_fixed_subgraph_detector():

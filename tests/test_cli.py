@@ -205,6 +205,10 @@ def test_error_exit_code(capsys):
 
 
 TRIANGLE_GR = "p gr 3 3\n1 2\n1 3\n2 3\n"
+TRIANGLE_TD = "s td 1 3 3\nb 1 1 2 3\n"
+TRIANGLE_TP = "s tp 1 3\nb 1 1 2 3\n"
+EMPTY_COVER = '{"kind":"cover","mode":"v","elements":[]}'
+THICK_META = json.dumps(eio.gadget_to_dict(thicken(MultiGraph.complete(4), 2)))
 
 
 MALFORMED = {
@@ -221,6 +225,14 @@ MALFORMED = {
     "gr-not-utf8": ("cycles", b"p gr 3 1\n1 2\xff\n"),
     "meta-not-json": ("gadget", "not json"),
     "meta-missing-keys": ("gadget", '{"k": 2}'),
+    # well-formed files, with an argument that names nothing
+    "patterns-verify": ("verify-patterns", EMPTY_COVER),
+    "patterns-separate": ("separate-patterns", TRIANGLE_TD),
+    "patterns-cover": ("cover-patterns", TRIANGLE_TD),
+    "patterns-disconnected": ("disconnected-patterns", TRIANGLE_TD),
+    "patterns-tp-cover": ("tp-cover-patterns", TRIANGLE_TP),
+    "route-x-token": ("route-x", THICK_META),
+    "route-no-input": ("route-no-input", THICK_META),
 }
 
 
@@ -238,6 +250,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "family": ["trees", "gallai", "-i", str(bad)],
         "verify": ["verify", "-i", str(host), "-c", str(bad)],
         "gadget": ["gadget", "route", "-i", str(bad), "-x", "0"],
+        "verify-patterns": ["verify", "-i", str(host), "-c", str(bad), "--patterns", "nope"],
+        "separate-patterns": ["decomp", "separate", "-i", str(host), "-t", str(bad), "--patterns", "nope"],
+        "cover-patterns": ["decomp", "cover", "-i", str(host), "-t", str(bad), "--patterns", "nope"],
+        "disconnected-patterns": [
+            "decomp", "disconnected", "-i", str(host), "-t", str(bad), "--patterns", "cycles,nope",
+        ],
+        "tp-cover-patterns": ["tp", "cover", "-i", str(host), "-t", str(bad), "--patterns", "nope"],
+        "route-x": ["gadget", "route", "-i", str(bad), "-x", "1,a"],
+        "route-no-input": ["gadget", "route", "-x", "0"],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -31,7 +31,6 @@ from eppack.errors import (
     CeilingViolated,
     InvalidDecomposition,
     OracleFailure,
-    ParameterEstimateUnavailable,
 )
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
@@ -327,7 +326,3 @@ def test_compose_ep():
     g = gnp(10, 0.3, 2)
     cover = solver(g)
     assert verify_cover(g, det, cover)
-
-    bare = compose_ep(Ceiling(lambda k: k), family, None)
-    with pytest.raises(ParameterEstimateUnavailable):
-        bare(g)

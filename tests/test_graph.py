@@ -2,7 +2,6 @@ import pytest
 
 from eppack.errors import (
     InvalidParameter,
-    MixedElementKinds,
     UnknownIdentifier,
     WouldCreateLoop,
 )
@@ -34,16 +33,14 @@ def test_mode_parse():
         Mode.parse("x")
 
 
-def test_delete_kind_inference():
+def test_delete_by_mode():
     g = MultiGraph.cycle_graph(4)
     assert g.delete({0}, Mode.VERTEX).n == 3
     assert g.delete({0}, Mode.EDGE).m == 3
-    # inference: ids present only among vertices
-    h = MultiGraph.from_edges(range(6), [(4, 5)])
-    assert h.delete({3}).n == 5
-    # 0 names both a vertex and an edge here: refuse to guess
-    with pytest.raises(MixedElementKinds):
-        MultiGraph.cycle_graph(3).delete({0})
+    with pytest.raises(UnknownIdentifier):
+        g.delete({4}, Mode.VERTEX)
+    with pytest.raises(UnknownIdentifier):
+        g.delete({4}, Mode.EDGE)
 
 
 def test_components_and_forest():

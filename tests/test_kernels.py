@@ -1,9 +1,9 @@
 """The cycle kernels against their reference implementations in helpers.
 
-``reduce_low_degree``, ``shortest_cycle`` and ``_canonical_cycle`` must return
+``reduce_low_degree``, ``shortest_cycle`` and ``enumerate_cycles`` must return
 exactly what the per-step rebuild, the uncut per-edge BFS and the scan of
 every rotation return: the same events, the same reduced graph (edge order
-included) and the same canonical cycle.  The generator is pinned the same
+included) and cycles in canonical form.  The generator is pinned the same
 way: ``SplitMix64`` to the published splitmix64 outputs, ``below`` to one
 ``random()`` call per draw and ``gnp`` to ``helpers.ref_gnp``.
 """
@@ -25,7 +25,8 @@ from helpers import (
 
 from eppack.cycles import reduce_low_degree
 from eppack.gen import gnp
-from eppack.graph import Cycle, MultiGraph, _canonical_cycle
+from eppack.graph import Cycle, MultiGraph
+from eppack.iso import enumerate_cycles
 from eppack.rng import _LANES, SplitMix64
 
 
@@ -101,25 +102,14 @@ def test_shortest_cycle_at_scale():
             assert g.shortest_cycle() == ref_shortest_cycle(g)
 
 
-@st.composite
-def cycle_sequences(draw):
-    """A cycle's vertex and edge sequences: L from 2 to 12, distinct
-    vertices and distinct edge ids, both in arbitrary order."""
-    size = draw(st.integers(2, 12))
-    verts = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True))
-    eids = draw(st.lists(st.integers(0, 60), min_size=size, max_size=size, unique=True))
-    return verts, eids
-
-
-@settings(max_examples=1000)
-@given(cycle_sequences())
-@example(([5, 3], [8, 1]))
-@example(([5, 3], [1, 8]))
-@example(([0, 1, 2], [7, 8, 9]))
-def test_canonical_cycle_matches_reference(seqs):
-    verts, eids = seqs
-    assert _canonical_cycle(verts, eids) == ref_canonical_cycle(verts, eids)
-    assert _canonical_cycle(tuple(verts), tuple(eids)) == ref_canonical_cycle(verts, eids)
+@settings(max_examples=300)
+@given(multigraphs(max_n=8, max_pairs=12))
+@example(TRIANGLE)
+@example(MultiGraph.theta(3))
+@example(MultiGraph.complete(5))
+def test_enumerated_cycles_are_canonical(g):
+    for c in enumerate_cycles(g):
+        assert c == ref_canonical_cycle(c.vertices, c.edges)
 
 
 def test_splitmix64_known_answers():

@@ -138,7 +138,7 @@ def test_multigraph_cycles():
 def test_subgraph_oracles_match_hitting():
     for seed in range(15):
         g = gnp(8, 0.45, seed)
-        copies = enumerate_copies(g, K3, cap=10_000)
+        copies = enumerate_copies(g, K3)
         vsets = [vs for vs, _ in copies]
         esets = [es for _, es in copies]
         assert exact_cover_subgraph(g, K3, Mode.VERTEX).value == bf_min_hitting(
@@ -149,15 +149,19 @@ def test_subgraph_oracles_match_hitting():
         )
 
 
-def test_budget_raises():
+def test_budget_raises(monkeypatch):
+    monkeypatch.setenv("EP_BUDGET", "5")
     g = gnp(14, 0.5, 1)
     with pytest.raises(BudgetExceeded):
-        exact_vpack_cycles(g, budget=5)
+        exact_vpack_cycles(g)
 
 
 def test_env_budget(monkeypatch):
     monkeypatch.setenv("EP_BUDGET", "123")
     assert default_budget() == 123
+    monkeypatch.setenv("EP_BUDGET", "1e6")
+    with pytest.raises(InvalidParameter):
+        exact_vpack_cycles(MultiGraph.complete(3))
     monkeypatch.delenv("EP_BUDGET")
     assert default_budget() > 123
 

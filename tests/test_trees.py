@@ -96,12 +96,13 @@ def test_rs_selection_failure_case():
     assert rs_selection(tree, fams, 1) is None
 
 
-def test_rs_selection_budget_and_params():
+def test_rs_selection_budget_and_params(monkeypatch):
     tree = MultiGraph.path_graph(3)
     with pytest.raises(InvalidParameter):
         rs_selection(tree, [], 1)
     with pytest.raises(InvalidParameter):
         rs_selection(tree, [[frozenset({0})]], 0)
     big = [[frozenset({v}) for v in range(3)] for _ in range(3)]
+    monkeypatch.setenv("EP_BUDGET", "2")
     with pytest.raises(BudgetExceeded):
-        rs_selection(tree, big, 1, budget=2)
+        rs_selection(tree, big, 1)
