@@ -249,7 +249,8 @@ def theta_detector(t):
     """Detector for graphs with a theta_t minor (t parallel edges).
 
     A witness is two disjoint connected sets with >= t edges between them.
-    Exact up to ENUMERATION_CAP vertex subsets; t = 2 reduces to cycles.
+    A forest has none; other hosts are searched exactly up to
+    ENUMERATION_CAP vertex subsets.  t = 2 reduces to cycles.
     """
     if t < 2:
         raise InvalidParameter("theta detector needs t >= 2")
@@ -264,7 +265,9 @@ def theta_detector(t):
             cross = frozenset(c.edges[:1] + c.edges[-1:])
             ew = _spanning_edges(g, b)
             return PatternWitness(a | b, cross | frozenset(ew))
-        if g.n > 1 and 2 ** g.n > ENUMERATION_CAP:
+        if g.is_forest():
+            return None  # a theta_t minor needs a cycle
+        if 2 ** g.n > ENUMERATION_CAP:
             raise BudgetExceeded(f"host too large for exhaustive theta_{t} search")
         for a in connected_subsets(g):
             rest = g.vertices - a

@@ -57,7 +57,13 @@ def _cycle_along(adj, path):
 
 
 class MultiGraph:
-    """Immutable loopless multigraph; operations return new graphs."""
+    """Immutable loopless multigraph; operations return new graphs.
+
+    No adjacency row (a vertex's neighbour -> edge-id-list dict) nor id list
+    is mutated after construction, so a graph derived by deletion copies only
+    the rows and lists the deletion touches and shares all others with its
+    parent.
+    """
 
     __slots__ = ("_vertices", "_edges", "_adj")
 
@@ -157,10 +163,10 @@ class MultiGraph:
         return sorted(out)
 
     def degree(self, v):
-        return sum(len(ids) for ids in self._adj[v].values())
+        return sum(map(len, self._adj[v].values()))
 
     def degrees(self):
-        return {v: self.degree(v) for v in self._vertices}
+        return {v: sum(map(len, row.values())) for v, row in self._adj.items()}
 
     def next_vertex_id(self):
         return max(self._vertices, default=-1) + 1
@@ -173,26 +179,53 @@ class MultiGraph:
 
     # -- local operations -----------------------------------------------------
 
+    @staticmethod
+    def _derive(vertices, edges, adj):
+        """A graph from finished parts, without the checks of ``__init__``."""
+        g = MultiGraph.__new__(MultiGraph)
+        g._vertices, g._edges, g._adj = vertices, edges, adj
+        return g
+
     def delete_vertices(self, xs):
         xs = set(xs)
         unknown = xs - self._vertices
         if unknown:
             raise UnknownIdentifier(f"unknown vertices {sorted(unknown)}")
-        keep_v = self._vertices - xs
-        keep_e = {
-            eid: uv
-            for eid, uv in self._edges.items()
-            if uv[0] in keep_v and uv[1] in keep_v
-        }
-        return MultiGraph(keep_v, keep_e)
+        parent = self._adj
+        adj, es = dict(parent), dict(self._edges)
+        for x in xs:
+            for u, ids in adj.pop(x).items():
+                if u in xs:
+                    for eid in ids:
+                        es.pop(eid, None)  # the other end pops it too
+                    continue
+                for eid in ids:
+                    del es[eid]
+                row = adj[u]
+                if row is parent[u]:
+                    row = adj[u] = dict(row)
+                del row[x]
+        return self._derive(self._vertices - xs, es, adj)
 
     def delete_edges(self, xs):
         xs = set(xs)
-        unknown = xs - set(self._edges)
+        unknown = xs.difference(self._edges)
         if unknown:
             raise UnknownIdentifier(f"unknown edges {sorted(unknown)}")
-        keep_e = {eid: uv for eid, uv in self._edges.items() if eid not in xs}
-        return MultiGraph(self._vertices, keep_e)
+        parent = self._adj
+        adj, es = dict(parent), dict(self._edges)
+        for eid in xs:
+            u, v = es.pop(eid)
+            for a, b in ((u, v), (v, u)):
+                row = adj[a]
+                if row is parent[a]:
+                    row = adj[a] = dict(row)
+                ids = [i for i in row[b] if i != eid]
+                if ids:
+                    row[b] = ids
+                else:
+                    del row[b]
+        return self._derive(self._vertices, es, adj)
 
     def delete(self, xs, mode):
         """Delete a set of vertices or a set of edges, as mode says."""

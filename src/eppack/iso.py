@@ -17,33 +17,34 @@ def enumerate_copies(host, pattern, first_only=False):
     than ENUMERATION_CAP copies are produced.
     """
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    pedges = sorted(pattern.edges)
-    hverts = sorted(host.vertices)
+    # per position: the pattern vertex, its degree, and its neighbours at
+    # earlier positions (the ones already mapped) with their multiplicities
+    plan = [
+        (pv, pattern.degree(pv),
+         [(u, len(pattern.edges_between(pv, u)))
+          for u in pattern.neighbors(pv) if u in pverts[:i]])
+        for i, pv in enumerate(pverts)
+    ]
+    pslots = [pattern.endpoints(eid) for eid in sorted(pattern.edges)]
+    hadj = host._adj
+    hdeg = host.degrees()
+    hverts = sorted(hadj)
     copies = set()
 
     def vertex_maps(i, mapping, used):
-        if i == len(pverts):
+        if i == len(plan):
             yield dict(mapping)
             return
-        pv = pverts[i]
-        # pattern neighbors already mapped constrain the candidates
-        anchors = [
-            (u, len(pattern.edges_between(pv, u)))
-            for u in pattern.neighbors(pv)
-            if u in mapping
-        ]
+        pv, need, anchors = plan[i]
         if anchors:
-            u0, _ = anchors[0]
-            candidates = [w for w in host.neighbors(mapping[u0]) if w not in used]
+            candidates = sorted(hadj[mapping[anchors[0][0]]])
         else:
-            candidates = [w for w in hverts if w not in used]
+            candidates = hverts
         for w in candidates:
-            ok = True
-            for u, mult in anchors:
-                if len(host.edges_between(w, mapping[u])) < mult:
-                    ok = False
-                    break
-            if ok and host.degree(w) >= pattern.degree(pv):
+            if w in used or hdeg[w] < need:
+                continue
+            row = hadj[w]
+            if all(len(row.get(mapping[u], ())) >= mult for u, mult in anchors):
                 mapping[pv] = w
                 used.add(w)
                 yield from vertex_maps(i + 1, mapping, used)
@@ -52,18 +53,14 @@ def enumerate_copies(host, pattern, first_only=False):
 
     def edge_choices(mapping):
         # one host edge id per pattern edge, parallel copies kept apart
-        slots = []
-        for eid in pedges:
-            u, v = pattern.endpoints(eid)
-            slots.append((eid, host.edges_between(mapping[u], mapping[v])))
+        slots = [hadj[mapping[u]][mapping[v]] for u, v in pslots]
         chosen = {}
 
         def rec(j):
             if j == len(slots):
                 yield frozenset(chosen.values())
                 return
-            _, ids = slots[j]
-            for hid in ids:
+            for hid in slots[j]:
                 if hid in chosen.values():
                     continue
                 chosen[j] = hid

@@ -5,9 +5,7 @@ witness or raises BudgetExceeded; it never approximates silently.
 """
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .certificates import (
     CoverCertificate,
@@ -84,21 +82,43 @@ def _chordless_cycles(h, s, t=None):
 def _pack_bound(h, mode, shortest=None):
     """Upper bound on the number of members of a cycle packing of h.
 
-    The members are independent in the cycle space, so there are at most
-    cycle-rank of them, and each has at least ``shortest`` vertices or
-    edges: h's girth if the caller knows it, else 2 with a parallel pair
-    and 3 without.  In edge mode the members' union has only even degrees,
-    so each odd-degree vertex leaves one of its edges unused and at most
-    m - odd/2 edges are packed.
+    Only the 2-core carries cycles: peeling vertices of degree at most 1,
+    one at a time, deletes no cycle and keeps the cycle rank
+    m - n + components (a leaf takes one vertex and one edge, an isolated
+    vertex one vertex and one component).  The members are independent in
+    the cycle space, so there are at most cycle-rank of them, and each has
+    at least ``shortest`` vertices or edges of the core: h's girth if the
+    caller knows it, else 2 with a parallel pair and 3 without.  In edge
+    mode the members' union has only even degrees, so each odd-degree
+    vertex of the core leaves one of its edges unused and at most
+    m_core - odd_core/2 edges are packed.
+
+    A nonempty core has rank at least m_core - n_core + 1, so the
+    components are counted only when the packing term exceeds that.
     """
-    dim = h.m - h.n + len(h.components())
+    deg = h.degrees()
+    low = [v for v, d in deg.items() if d < 2]
+    while low:
+        v = low.pop()
+        del deg[v]
+        for u in h._adj[v]:
+            if u in deg:  # v's one remaining edge, if it has one
+                deg[u] -= 1
+                if deg[u] == 1:
+                    low.append(u)
+    n_core, m_core = len(deg), sum(deg.values()) // 2
+    if not n_core:
+        return 0
     if shortest is None:
         shortest = 2 if len(h.underlying_pairs()) < h.m else 3
     if mode is Mode.VERTEX:
-        return min(dim, h.n // shortest)
-    degrees = Counter(chain.from_iterable(h.edges.values()))
-    odd = sum(d & 1 for d in degrees.values())
-    return min(dim, (h.m - odd // 2) // shortest)
+        room = n_core // shortest
+    else:
+        odd = sum(d & 1 for d in deg.values())
+        room = (m_core - odd // 2) // shortest
+    if room <= m_core - n_core + 1:
+        return room
+    return min(room, h.m - h.n + len(h.components()))
 
 
 # -- exact cycle packing / covering -------------------------------------------

@@ -487,6 +487,88 @@ def ref_exact_epack_cycles(g):
     return ExactResult(best[0], witness, explored)
 
 
+# -- reference vertex-packing search --------------------------------------------------
+#
+# ``exact_vpack_cycles`` as it was before its bound peeled to the 2-core:
+# ``ref_pack_bound`` is the cycle rank (one ``components()`` pass) against
+# the whole graph's n (vertex mode) or m - odd/2 (edge mode) over the
+# shortest cycle length, and each child is a full rebuild.  The package's
+# search must return the same value and witness with no more nodes.
+
+
+def ref_pack_bound(g, mode, shortest=None):
+    dim = g.m - g.n + len(g.components())
+    if shortest is None:
+        shortest = 2 if len(g.underlying_pairs()) < g.m else 3
+    if mode is Mode.VERTEX:
+        return min(dim, g.n // shortest)
+    odd = sum(g.degree(v) & 1 for v in g.vertices)
+    return min(dim, (g.m - odd // 2) // shortest)
+
+
+def _ref_chordless_cycles(g, s):
+    """Chordless cycles of length 3 or more through s, each in one direction."""
+    out = []
+
+    def close(path):
+        steps = zip(path, path[1:] + path[:1])
+        return Cycle(tuple(path), tuple(g.edges_between(a, b)[0] for a, b in steps))
+
+    def extend(path):
+        for w in g.neighbors(path[-1]):
+            if w in path or any(g.edges_between(x, w) for x in path[1:-1]):
+                continue
+            if g.edges_between(s, w):
+                if path[1] < w:
+                    out.append(close(path + [w]))
+                continue
+            extend(path + [w])
+
+    for a in g.neighbors(s):
+        extend([s, a])
+    return out
+
+
+def _ref_without_vertices(g, xs):
+    return MultiGraph(
+        g.vertices - xs,
+        {eid: uv for eid, uv in g.edges.items() if not xs.intersection(uv)},
+    )
+
+
+def ref_exact_vpack_cycles(g):
+    explored = 0
+    best = [0, []]
+
+    def rec(h, acc, members):
+        nonlocal explored
+        explored += 1
+        if acc + ref_pack_bound(h, Mode.VERTEX) <= best[0]:
+            return
+        c = h.shortest_cycle()
+        if c is None:
+            if acc > best[0]:
+                best[0], best[1] = acc, list(members)
+            return
+        if acc + 1 > best[0]:
+            best[0], best[1] = acc + 1, list(members) + [c]
+        v = min(c.vertex_set)
+        two_cycles = [
+            Cycle((v, u), tuple(h.edges_between(v, u)[:2]))
+            for u in h.neighbors(v)
+            if len(h.edges_between(v, u)) > 1
+        ]
+        for p in two_cycles + _ref_chordless_cycles(h, v):
+            rec(_ref_without_vertices(h, p.vertex_set), acc + 1, members + [p])
+        rec(_ref_without_vertices(h, {v}), acc, members)
+
+    rec(g, 0, [])
+    witness = PackingCertificate(
+        Mode.VERTEX, tuple(PatternWitness.from_cycle(c) for c in best[1])
+    )
+    return ExactResult(best[0], witness, explored)
+
+
 # -- reference inductive edge cover ---------------------------------------------------
 #
 # ``inductive_edge_cover`` with every round's postorder scan starting at the

@@ -96,7 +96,16 @@ def test_theta_budget():
     # 2^18 vertex subsets are more than ENUMERATION_CAP
     det = theta_detector(3)
     with pytest.raises(BudgetExceeded):
-        det.find(MultiGraph.path_graph(18))
+        det.find(MultiGraph.cycle_graph(18))
+
+
+def test_theta_detector_answers_forests_of_any_size():
+    # a forest has no theta_t minor, so no subset search is needed
+    forest = MultiGraph.from_edges(range(60), [(i, i // 2) for i in range(1, 60)])
+    for t in (3, 4):
+        det = theta_detector(t)
+        assert det.find(MultiGraph.path_graph(18)) is None
+        assert det.find(forest) is None
 
 
 def test_fixed_subgraph_detector():

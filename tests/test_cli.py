@@ -188,6 +188,16 @@ def test_verify_round_trip(tmp_path, triangle_file, capsys):
     assert main(["verify", "-i", triangle_file, "-c", str(cert)]) == 1
 
 
+def test_verify_theta_cover_on_a_long_path(tmp_path, capsys):
+    # an empty cover is valid on a forest, whatever its size
+    host, cert = tmp_path / "path.gr", tmp_path / "c.json"
+    eio.write_gr(MultiGraph.path_graph(18), host)
+    cert.write_text(EMPTY_COVER)
+    argv = ["verify", "-i", str(host), "-c", str(cert), "--patterns", "theta_3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 @pytest.mark.parametrize("argv", [
     ["fuzz", "tuza", "--max-n", "3"],
     ["fuzz", "jones", "--max-n", "2"],

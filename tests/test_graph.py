@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import multigraphs
 
 from eppack.errors import (
     InvalidParameter,
@@ -95,3 +99,40 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != MultiGraph.path_graph(4)
+
+
+def _view(g):
+    """Everything a caller can read of g, as plain values."""
+    rows = {v: {u: g.edges_between(v, u) for u in g.neighbors(v)} for v in g.vertices}
+    return (
+        g.vertices,
+        dict(g.edges),
+        rows,
+        {v: (g.incident(v), g.degree(v)) for v in g.vertices},
+        g.shortest_cycle(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_derived_graphs_match_a_rebuild(g, data):
+    # derived graphs share untouched rows with their parent: each must read
+    # as a full rebuild, and no graph of the family may change, siblings
+    # (as the oracle searches make them) included
+    family, views = [g], [_view(g)]
+    for _ in range(data.draw(st.integers(1, 5))):
+        h = data.draw(st.sampled_from(family))
+        if data.draw(st.booleans()):
+            xs = data.draw(st.sets(st.sampled_from(sorted(h.vertices)))) if h.n else set()
+            child = h.delete_vertices(xs)
+            kept = {eid: uv for eid, uv in h.edges.items() if not xs.intersection(uv)}
+            want = MultiGraph(h.vertices - xs, kept)
+        else:
+            xs = data.draw(st.sets(st.sampled_from(sorted(h.edges)))) if h.m else set()
+            child = h.delete_edges(xs)
+            want = MultiGraph(h.vertices, {eid: uv for eid, uv in h.edges.items() if eid not in xs})
+        assert child == want and hash(child) == hash(want)
+        assert _view(child) == _view(want)
+        family.append(child)
+        views.append(_view(child))
+    assert [_view(h) for h in family] == views

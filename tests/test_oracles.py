@@ -12,6 +12,8 @@ from helpers import (
     multigraphs,
     random_multigraph,
     ref_exact_epack_cycles,
+    ref_exact_vpack_cycles,
+    ref_pack_bound,
 )
 
 from eppack.certificates import cycles_detector, triangles_detector, verify_cover, verify_packing
@@ -20,6 +22,7 @@ from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
 from eppack.iso import enumerate_copies
 from eppack.oracles import (
+    _pack_bound,
     default_budget,
     exact_cover_subgraph,
     exact_ecover_cycles,
@@ -108,6 +111,59 @@ def test_epack_matches_reference_on_larger_multigraphs():
     rng = SplitMix64(909)
     for _ in range(150):
         _same_epack(random_multigraph(rng, max_n=9, max_m=22))
+
+
+def _same_vpack(g):
+    got, ref = exact_vpack_cycles(g), ref_exact_vpack_cycles(g)
+    assert got.value == ref.value
+    assert [(w.vertices, w.edges) for w in got.witness.members] == [
+        (w.vertices, w.edges) for w in ref.witness.members
+    ]
+    assert got.explored <= ref.explored
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=9, max_pairs=12))
+@example(MultiGraph.complete(5))
+@example(MultiGraph.petersen())
+@example(MultiGraph.theta(3))
+def test_vpack_matches_reference(g):
+    # the 2-core bound prunes only subtrees that cannot beat the incumbent,
+    # so the incumbents, and with them value and witness, stay the same
+    _same_vpack(g)
+
+
+def test_vpack_matches_reference_on_fixed_seeds():
+    for seed in range(40):
+        _same_vpack(gnp(6 + seed % 7, 0.25 + 0.006 * seed, seed))
+    rng = SplitMix64(707)
+    for _ in range(80):
+        _same_vpack(random_multigraph(rng, max_n=10, max_m=18))
+
+
+def _bound_holds(g):
+    # no packing beats the bound, and the bound is no looser than the
+    # whole-graph one it replaces
+    girth = g.girth()
+    for mode, brute in ((Mode.VERTEX, bf_vpack_cycles), (Mode.EDGE, bf_epack_cycles)):
+        best = brute(g)
+        for shortest in (None, girth) if girth else (None,):
+            assert best <= _pack_bound(g, mode, shortest) <= ref_pack_bound(g, mode, shortest)
+
+
+# the brute force is exponential in the number of cycles, which many parallel
+# copies of one pair inflate, so multigraphs come from fixed seeds only
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=8, max_pairs=12, simple=True))
+@example(MultiGraph.from_edges(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+def test_pack_bound_is_an_upper_bound(g):
+    _bound_holds(g)
+
+
+def test_pack_bound_is_an_upper_bound_on_multigraphs():
+    rng = SplitMix64(808)
+    for _ in range(80):
+        _bound_holds(random_multigraph(rng, max_n=7, max_m=11))
 
 
 def test_epack_branches_on_one_parallel_mate():
