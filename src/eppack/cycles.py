@@ -17,7 +17,7 @@ from .certificates import (
     QualityReport,
 )
 from .errors import InvalidParameter, InvariantViolated
-from .graph import Cycle, Mode
+from .graph import Cycle, Mode, MultiGraph
 
 
 # -- trichotomy classifier -----------------------------------------------------
@@ -144,16 +144,13 @@ def reduce_low_degree(g):
     fresh edge (ids from ``g.next_edge_id()`` upward, in step order).  The
     trace and the reduced graph, including its edge order, depend on this.
 
-    One pass over a mutable copy with a heap of candidate vertices; only the
-    neighbours of the vertex just removed are re-examined, so the cost is
-    O((n + m) log n) plus building the result once.
+    One pass over copies of g's rows with a heap of candidate vertices; only
+    the neighbours of the vertex just removed are re-examined, so the cost is
+    O((n + m) log n), and the working rows become the result's.
     """
     ends = dict(g.edges)  # working edge table; keeps g's edge order
-    adj = {v: {} for v in g.vertices}  # v -> neighbour -> list of edge ids
-    for eid, (u, v) in ends.items():
-        adj[u].setdefault(v, []).append(eid)
-        adj[v].setdefault(u, []).append(eid)
-    deg = {v: sum(map(len, nbrs.values())) for v, nbrs in adj.items()}
+    adj = {v: dict(row) for v, row in g._adj.items()}  # id lists stay shared
+    deg = g.degrees()
 
     def qualifies(v):
         return deg[v] <= 1 or (deg[v] == 2 and len(adj[v]) == 2)
@@ -176,10 +173,10 @@ def reduce_low_degree(g):
             rep = next_eid
             next_eid += 1
             events.append(Suppress(v, e1, e2, rep, x, z))
-            ends[rep] = (x, z)
+            ends[rep] = (min(x, z), max(x, z))
             del adj[x][v], adj[z][v]
-            adj[x].setdefault(z, []).append(rep)
-            adj[z].setdefault(x, []).append(rep)
+            adj[x][z] = adj[x].get(z, []) + [rep]  # rep tops every id: still ascending
+            adj[z][x] = adj[z].get(x, []) + [rep]
         else:
             events.append(DeleteVertex(v, tuple(incident)))
             for u, ids in nbrs.items():
@@ -189,7 +186,7 @@ def reduce_low_degree(g):
             heapq.heappush(heap, u)
     if not events:
         return g, ReductionTrace(())
-    return type(g)(adj, ends), ReductionTrace(tuple(events))
+    return MultiGraph._derive(frozenset(adj), ends, adj), ReductionTrace(tuple(events))
 
 
 # -- the packing-or-covering driver ---------------------------------------------

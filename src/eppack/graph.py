@@ -59,10 +59,12 @@ def _cycle_along(adj, path):
 class MultiGraph:
     """Immutable loopless multigraph; operations return new graphs.
 
-    No adjacency row (a vertex's neighbour -> edge-id-list dict) nor id list
-    is mutated after construction, so a graph derived by deletion copies only
-    the rows and lists the deletion touches and shares all others with its
-    parent.
+    Only ``__init__`` validates, for new or outside data; derived graphs
+    (deletions, ``induced``, the low-degree reduction) come from ``_derive``
+    with ascending id lists and ``u < v`` endpoints.  No adjacency row (a
+    vertex's neighbour -> edge-id-list dict) nor id list is mutated after
+    construction, so a derived graph copies only the rows and lists it
+    touches and shares all others with its parent.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj")
@@ -238,10 +240,7 @@ class MultiGraph:
         unknown = xs - self._vertices
         if unknown:
             raise UnknownIdentifier(f"unknown vertices {sorted(unknown)}")
-        keep_e = {
-            eid: uv for eid, uv in self._edges.items() if uv[0] in xs and uv[1] in xs
-        }
-        return MultiGraph(xs, keep_e)
+        return self.delete_vertices(self._vertices - xs)
 
     # -- traversal ------------------------------------------------------------
 
@@ -268,8 +267,26 @@ class MultiGraph:
         return len(self.components()) <= 1
 
     def is_forest(self):
-        # a parallel pair or any other cycle leaves an edge out of the forest
-        return len(self.spanning_forest_edges()) == self.m
+        return not self.core_degrees()
+
+    def core_degrees(self):
+        """Vertex -> degree in the 2-core, which holds every cycle.
+
+        Peeling a vertex of degree at most 1 deletes no cycle and keeps the
+        cycle rank m - n + components (a leaf takes a vertex and an edge, an
+        isolated vertex a vertex and a component): only forests peel away.
+        """
+        deg = self.degrees()
+        low = [v for v, d in deg.items() if d < 2]
+        while low:
+            v = low.pop()
+            del deg[v]
+            for u in self._adj[v]:
+                if u in deg:  # v's one remaining edge, if it has one
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        low.append(u)
+        return deg
 
     def rooted(self, root):
         """Children of each vertex reachable from ``root``, in a DFS tree.
@@ -347,8 +364,8 @@ class MultiGraph:
                 if u < v and len(ids) > 1
             )
             return Cycle((u, v), tuple(adj[u][v][:2]))  # unbeatable when loopless
-        if self.m <= self.n and self.m - self.n + len(self.components()) == 0:
-            return None  # a forest; more edges than vertices always close a cycle
+        if self.m <= self.n and self.is_forest():
+            return None  # more edges than vertices always close a cycle
         nbrs = {v: sorted(a) for v, a in adj.items()}
         best, root, root_dist = self.n + 1, None, None
         for r in sorted(nbrs):
@@ -388,10 +405,6 @@ class MultiGraph:
             else:
                 path.pop()
                 todo.pop()
-
-    def girth(self):
-        c = self.shortest_cycle()
-        return None if c is None else len(c)
 
     # -- misc -----------------------------------------------------------------
 

@@ -82,30 +82,18 @@ def _chordless_cycles(h, s, t=None):
 def _pack_bound(h, mode, shortest=None):
     """Upper bound on the number of members of a cycle packing of h.
 
-    Only the 2-core carries cycles: peeling vertices of degree at most 1,
-    one at a time, deletes no cycle and keeps the cycle rank
-    m - n + components (a leaf takes one vertex and one edge, an isolated
-    vertex one vertex and one component).  The members are independent in
-    the cycle space, so there are at most cycle-rank of them, and each has
-    at least ``shortest`` vertices or edges of the core: h's girth if the
-    caller knows it, else 2 with a parallel pair and 3 without.  In edge
-    mode the members' union has only even degrees, so each odd-degree
-    vertex of the core leaves one of its edges unused and at most
-    m_core - odd_core/2 edges are packed.
+    The members lie in the 2-core (see ``MultiGraph.core_degrees``) and are
+    independent in the cycle space, so there are at most cycle-rank of
+    them, and each has at least ``shortest`` vertices or edges of the core:
+    h's girth if the caller knows it, else 2 with a parallel pair and 3
+    without.  In edge mode the members' union has only even degrees, so
+    each odd-degree vertex of the core leaves one of its edges unused and
+    at most m_core - odd_core/2 edges are packed.
 
     A nonempty core has rank at least m_core - n_core + 1, so the
     components are counted only when the packing term exceeds that.
     """
-    deg = h.degrees()
-    low = [v for v, d in deg.items() if d < 2]
-    while low:
-        v = low.pop()
-        del deg[v]
-        for u in h._adj[v]:
-            if u in deg:  # v's one remaining edge, if it has one
-                deg[u] -= 1
-                if deg[u] == 1:
-                    low.append(u)
+    deg = h.core_degrees()
     n_core, m_core = len(deg), sum(deg.values()) // 2
     if not n_core:
         return 0

@@ -49,7 +49,7 @@ def test_classify_prefers_parallel_pair_over_suppression():
 def test_reduce_keeps_parallel_pair_vertices():
     g = MultiGraph.from_edges(range(3), [(0, 1), (1, 2), (1, 2)])
     h, trace = reduce_low_degree(g)
-    assert h.girth() == 2
+    assert len(h.shortest_cycle()) == 2
     assert replay(trace, g) == h
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import multigraphs
 
+from eppack.cycles import reduce_low_degree
 from eppack.errors import (
     InvalidParameter,
     UnknownIdentifier,
@@ -58,10 +59,10 @@ def test_components_and_forest():
 
 def test_girth_parallel_pair_is_two():
     g = MultiGraph.from_edges(range(2), [(0, 1), (0, 1)])
-    assert g.girth() == 2
-    assert MultiGraph.cycle_graph(5).girth() == 5
-    assert MultiGraph.path_graph(4).girth() is None
-    assert MultiGraph.petersen().girth() == 5
+    assert len(g.shortest_cycle()) == 2
+    assert len(MultiGraph.cycle_graph(5).shortest_cycle()) == 5
+    assert MultiGraph.path_graph(4).shortest_cycle() is None
+    assert len(MultiGraph.petersen().shortest_cycle()) == 5
 
 
 def test_shortest_cycle_deterministic():
@@ -76,7 +77,7 @@ def test_theta_graph():
     t = MultiGraph.theta(4)
     assert t.n == 2
     assert t.m == 4
-    assert t.girth() == 2
+    assert len(t.shortest_cycle()) == 2
 
 
 def test_induced_keeps_ids():
@@ -85,6 +86,18 @@ def test_induced_keeps_ids():
     assert h.vertices == frozenset({1, 2, 3})
     assert h.m == 3
     assert all(set(h.endpoints(e)) <= {1, 2, 3} for e in h.edges)
+    with pytest.raises(UnknownIdentifier):
+        g.induced({1, 4})
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_core_degrees_match_repeated_leaf_deletion(g):
+    core = g
+    while low := [v for v, d in core.degrees().items() if d <= 1]:
+        core = core.delete_vertices(low[:1])
+    assert g.core_degrees() == core.degrees()
+    assert g.is_forest() == (len(g.spanning_forest_edges()) == g.m)
 
 
 def test_elements_by_mode():
@@ -102,12 +115,14 @@ def test_equality_and_hash():
 
 
 def _view(g):
-    """Everything a caller can read of g, as plain values."""
+    """Everything a caller can read of g, as plain values, plus the raw rows:
+    ``_cycle_along`` and the parallel-pair pass take their id lists as ascending."""
     rows = {v: {u: g.edges_between(v, u) for u in g.neighbors(v)} for v in g.vertices}
     return (
         g.vertices,
         dict(g.edges),
         rows,
+        {v: dict(row) for v, row in g._adj.items()},
         {v: (g.incident(v), g.degree(v)) for v in g.vertices},
         g.shortest_cycle(),
     )
@@ -122,11 +137,16 @@ def test_derived_graphs_match_a_rebuild(g, data):
     family, views = [g], [_view(g)]
     for _ in range(data.draw(st.integers(1, 5))):
         h = data.draw(st.sampled_from(family))
-        if data.draw(st.booleans()):
+        how = data.draw(st.sampled_from(["delete_vertices", "induced", "delete_edges",
+                                         "reduce_low_degree"]))
+        if how in ("delete_vertices", "induced"):
             xs = data.draw(st.sets(st.sampled_from(sorted(h.vertices)))) if h.n else set()
-            child = h.delete_vertices(xs)
+            child = h.induced(h.vertices - xs) if how == "induced" else h.delete_vertices(xs)
             kept = {eid: uv for eid, uv in h.edges.items() if not xs.intersection(uv)}
             want = MultiGraph(h.vertices - xs, kept)
+        elif how == "reduce_low_degree":
+            child = reduce_low_degree(h)[0]
+            want = MultiGraph(child.vertices, child.edges)
         else:
             xs = data.draw(st.sets(st.sampled_from(sorted(h.edges)))) if h.m else set()
             child = h.delete_edges(xs)
