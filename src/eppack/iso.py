@@ -1,11 +1,67 @@
 """Backtracking subgraph search and cycle enumeration for small patterns."""
 
+import functools
+from bisect import bisect_right
+from itertools import product
+from operator import and_
+
 from .errors import BudgetExceeded
 from .graph import Cycle
 
 # The most copies, cycles or connected subsets one enumeration may produce,
 # and the most vertex subsets an exhaustive theta search may scan.
 ENUMERATION_CAP = 200_000
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(pattern):
+    """``enumerate_copies``'s (steps, pslots, Aut(pattern)) in positions.
+
+    Positions are pattern vertices by falling degree, then id.  Step i is
+    (degree, adjacent earlier positions, those with multiplicity above 1 as
+    (position, multiplicity), earlier positions whose images lie below i's).
+    """
+    order = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    pos = {v: i for i, v in enumerate(order)}
+    steps = []
+    for i, v in enumerate(order):
+        earlier = sorted((pos[u], len(ids)) for u, ids in pattern._adj[v].items() if pos[u] < i)
+        steps.append((pattern.degree(v), [k for k, _ in earlier], [e for e in earlier if e[1] > 1], []))
+    # an injective self-map keeping every multiplicity (>=) keeps m: an automorphism
+    auts = [[pos[w] for w in images]
+            for images in _vertex_maps(steps, pattern._adj, pattern.degrees(), order)]
+    group = auts
+    for i in range(len(order)):
+        for j in {a[i] for a in group} - {i}:
+            steps[j][3].append(i)
+        group = [a for a in group if a[i] == i]
+    return steps, [[pos[u] for u in pattern.endpoints(e)] for e in sorted(pattern.edges)], auts
+
+
+def _vertex_maps(steps, hadj, hdeg, hverts):
+    """Maps of a plan's positions into a host that keep its steps, in
+    lexicographic order, each as one live list of images: copy to keep."""
+    images = []
+
+    def extend(i):
+        if i == len(steps):
+            yield images
+            return
+        need, anchors, multiple, lower = steps[i]
+        candidates = hverts
+        if anchors:
+            candidates = sorted(functools.reduce(and_, (hadj[images[k]].keys() for k in anchors)))
+        if lower:
+            candidates = candidates[bisect_right(candidates, max(images[k] for k in lower)):]
+        for w in candidates:
+            if w not in images and hdeg[w] >= need and all(
+                len(hadj[w][images[k]]) >= mult for k, mult in multiple
+            ):
+                images.append(w)
+                yield from extend(i + 1)
+                images.pop()
+
+    return extend(0)
 
 
 def enumerate_copies(host, pattern, first_only=False):
@@ -15,65 +71,26 @@ def enumerate_copies(host, pattern, first_only=False):
     edge-disjoint packing needs.  Results are deduplicated and sorted, so
     enumeration order is deterministic.  Raises BudgetExceeded when more
     than ENUMERATION_CAP copies are produced.
+
+    The maps phi o sigma, sigma in Aut(pattern), give one copy, so each
+    copy is reached through one map (Grochow & Kellis, RECOMB 2007): for
+    each position i in plan order, i's image lies below those of i's orbit
+    under the stabiliser of the positions before i, and then i joins them.
+    Only the lexicographically least map of each class keeps all these, and
+    the search meets maps in that order, so ``first_only`` returns the copy
+    the unbroken search finds first.  ``_plan`` caches plan, Aut and these
+    conditions per pattern; parallel pattern edges still repeat copies,
+    hence the set.
     """
-    pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    # per position: the pattern vertex, its degree, and its neighbours at
-    # earlier positions (the ones already mapped) with their multiplicities
-    plan = [
-        (pv, pattern.degree(pv),
-         [(u, len(pattern.edges_between(pv, u)))
-          for u in pattern.neighbors(pv) if u in pverts[:i]])
-        for i, pv in enumerate(pverts)
-    ]
-    pslots = [pattern.endpoints(eid) for eid in sorted(pattern.edges)]
+    steps, pslots, _ = _plan(pattern)
     hadj = host._adj
-    hdeg = host.degrees()
-    hverts = sorted(hadj)
     copies = set()
-
-    def vertex_maps(i, mapping, used):
-        if i == len(plan):
-            yield dict(mapping)
-            return
-        pv, need, anchors = plan[i]
-        if anchors:
-            candidates = sorted(hadj[mapping[anchors[0][0]]])
-        else:
-            candidates = hverts
-        for w in candidates:
-            if w in used or hdeg[w] < need:
-                continue
-            row = hadj[w]
-            if all(len(row.get(mapping[u], ())) >= mult for u, mult in anchors):
-                mapping[pv] = w
-                used.add(w)
-                yield from vertex_maps(i + 1, mapping, used)
-                del mapping[pv]
-                used.discard(w)
-
-    def edge_choices(mapping):
+    for images in _vertex_maps(steps, hadj, host.degrees(), sorted(hadj)):
+        vset = frozenset(images)
         # one host edge id per pattern edge, parallel copies kept apart
-        slots = [hadj[mapping[u]][mapping[v]] for u, v in pslots]
-        chosen = {}
-
-        def rec(j):
-            if j == len(slots):
-                yield frozenset(chosen.values())
-                return
-            for hid in slots[j]:
-                if hid in chosen.values():
-                    continue
-                chosen[j] = hid
-                yield from rec(j + 1)
-                del chosen[j]
-
-        yield from rec(0)
-
-    for mapping in vertex_maps(0, {}, set()):
-        vset = frozenset(mapping.values())
-        for eset in edge_choices(mapping):
-            copy = (vset, eset)
-            if copy in copies:
+        for ids in product(*(hadj[images[a]][images[b]] for a, b in pslots)):
+            copy = (vset, frozenset(ids))
+            if len(copy[1]) < len(ids) or copy in copies:
                 continue
             copies.add(copy)
             if first_only:

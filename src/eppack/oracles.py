@@ -6,6 +6,7 @@ witness or raises BudgetExceeded; it never approximates silently.
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .certificates import (
     CoverCertificate,
@@ -146,24 +147,41 @@ def exact_vpack_cycles(g):
     return ExactResult(best[0], witness, counter.nodes)
 
 
+def _vcover_bound(h):
+    """Fewest 2-core vertices whose core degrees less one sum to h's cycle rank."""
+    rank = h.m - h.n + len(h.components())
+    freed = accumulate(sorted((d - 1 for d in h.core_degrees().values()), reverse=True), initial=0)
+    return next(size for size, total in enumerate(freed) if total >= rank)
+
+
 def exact_vcover_cycles(g):
-    """Minimum feedback vertex set, with witness."""
+    """Minimum feedback vertex set, with witness.
+
+    Deleting a vertex of degree d lowers the cycle rank m - n + components
+    by at most d - 1 (d edges go, and its component splits into at most d),
+    and a forest has rank 0.  A cover meets the 2-core in a cover of it, the
+    core's rank is h's (see ``MultiGraph.core_degrees``), and degrees only
+    fall as vertices go, so ``_vcover_bound(h)`` vertices are needed.  The
+    search tries sizes from g's bound up and drops each subtree whose bound
+    exceeds the size left: neither can succeed, so the first cover found
+    stays the same.
+    """
     counter = NodeCounter()
 
     def attempt(h, size_left, chosen):
         counter.tick()
+        if _vcover_bound(h) > size_left:
+            return None
         c = h.shortest_cycle()
         if c is None:
             return chosen
-        if size_left == 0:
-            return None
         for v in sorted(c.vertex_set):
             got = attempt(h.delete_vertices({v}), size_left - 1, chosen + [v])
             if got is not None:
                 return got
         return None
 
-    for size in range(g.n + 1):
+    for size in range(_vcover_bound(g), g.n + 1):
         got = attempt(g, size, [])
         if got is not None:
             witness = CoverCertificate(Mode.VERTEX, frozenset(got))
@@ -306,13 +324,8 @@ def exact_cover_subgraph(g, pattern, mode):
     """Minimum A_x hitting set destroying all copies of a fixed pattern."""
     counter = NodeCounter()
     copies = _copies_with_elements(g, pattern, mode)
-    # dedup, then drop supersets: hitting the subset hits them for free
-    distinct = sorted(set(elems for _, elems in copies), key=sorted)
-    elem_sets = [
-        s
-        for s in distinct
-        if not any(t < s for t in distinct)
-    ]
+    # every copy has pattern.n vertices and pattern.m edges: no set holds another
+    elem_sets = sorted(set(elems for _, elems in copies), key=sorted)
 
     def disjoint_lower_bound(sets):
         used = set()

@@ -21,7 +21,8 @@ from eppack.certificates import (
 )
 from eppack.decomp import _td_from_elimination
 from eppack.graph import Cycle, Mode, MultiGraph, postorder, subtree_unions
-from eppack.iso import enumerate_cycles
+from eppack.errors import BudgetExceeded
+from eppack.iso import ENUMERATION_CAP, enumerate_cycles
 from eppack.oracles import ExactResult
 from eppack.rng import SplitMix64
 from eppack.treepart import tp_width
@@ -616,3 +617,113 @@ def ref_inductive_edge_cover(g, tp, det, k):
         residue = residue.delete_edges(cut)
     packing = PackingCertificate(Mode.EDGE, tuple(members))
     return EPOutcome(QualityReport(bound_claimed=k, hypotheses_held=True), packing=packing)
+
+
+# -- reference exact feedback vertex set ---------------------------------------------
+#
+# The exact_vcover_cycles search as it was before its cycle-rank bound: every
+# cover size from 0, the DFS branching on a shortest cycle's vertices.  The
+# package's search must return the same value and witness with no more nodes.
+
+
+def ref_exact_vcover_cycles(g):
+    explored = 0
+
+    def attempt(h, size_left, chosen):
+        nonlocal explored
+        explored += 1
+        c = h.shortest_cycle()
+        if c is None:
+            return chosen
+        if size_left == 0:
+            return None
+        for v in sorted(c.vertex_set):
+            got = attempt(h.delete_vertices({v}), size_left - 1, chosen + [v])
+            if got is not None:
+                return got
+        return None
+
+    for size in range(g.n + 1):
+        got = attempt(g, size, [])
+        if got is not None:
+            witness = CoverCertificate(Mode.VERTEX, frozenset(got))
+            return ExactResult(len(got), witness, explored)
+    raise AssertionError("unreachable: deleting all vertices leaves a forest")
+
+
+# -- reference subgraph enumerator ---------------------------------------------------
+#
+# enumerate_copies as it was before symmetry breaking: every vertex map of the
+# pattern, one per automorphism of each copy, with the set dropping repeats.
+# The package must return the same sorted list, and with first_only the same
+# first copy.
+
+
+def ref_enumerate_copies(host, pattern, first_only=False):
+    pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    # per position: the pattern vertex, its degree, and its neighbours at
+    # earlier positions (the ones already mapped) with their multiplicities
+    plan = [
+        (pv, pattern.degree(pv),
+         [(u, len(pattern.edges_between(pv, u)))
+          for u in pattern.neighbors(pv) if u in pverts[:i]])
+        for i, pv in enumerate(pverts)
+    ]
+    pslots = [pattern.endpoints(eid) for eid in sorted(pattern.edges)]
+    hadj = host._adj
+    hdeg = host.degrees()
+    hverts = sorted(hadj)
+    copies = set()
+
+    def vertex_maps(i, mapping, used):
+        if i == len(plan):
+            yield dict(mapping)
+            return
+        pv, need, anchors = plan[i]
+        if anchors:
+            candidates = sorted(hadj[mapping[anchors[0][0]]])
+        else:
+            candidates = hverts
+        for w in candidates:
+            if w in used or hdeg[w] < need:
+                continue
+            row = hadj[w]
+            if all(len(row.get(mapping[u], ())) >= mult for u, mult in anchors):
+                mapping[pv] = w
+                used.add(w)
+                yield from vertex_maps(i + 1, mapping, used)
+                del mapping[pv]
+                used.discard(w)
+
+    def edge_choices(mapping):
+        # one host edge id per pattern edge, parallel copies kept apart
+        slots = [hadj[mapping[u]][mapping[v]] for u, v in pslots]
+        chosen = {}
+
+        def rec(j):
+            if j == len(slots):
+                yield frozenset(chosen.values())
+                return
+            for hid in slots[j]:
+                if hid in chosen.values():
+                    continue
+                chosen[j] = hid
+                yield from rec(j + 1)
+                del chosen[j]
+
+        yield from rec(0)
+
+    for mapping in vertex_maps(0, {}, set()):
+        vset = frozenset(mapping.values())
+        for eset in edge_choices(mapping):
+            copy = (vset, eset)
+            if copy in copies:
+                continue
+            copies.add(copy)
+            if first_only:
+                return [copy]
+            if len(copies) > ENUMERATION_CAP:
+                raise BudgetExceeded(
+                    f"more than {ENUMERATION_CAP} copies of pattern in host"
+                )
+    return sorted(copies, key=lambda c: (sorted(c[0]), sorted(c[1])))

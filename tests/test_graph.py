@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,28 @@ def _view(g):
     )
 
 
+def _derive_checked(h, how, xs):
+    """h's child by one derivation, and the full rebuild it must equal.
+
+    Derivations share h's untouched rows and id lists, so h's raw rows must
+    equal a deep copy taken before."""
+    before = copy.deepcopy(h._adj)
+    if how in ("delete_vertices", "induced"):
+        child = h.induced(h.vertices - xs) if how == "induced" else h.delete_vertices(xs)
+        kept = {eid: uv for eid, uv in h.edges.items() if not xs.intersection(uv)}
+        want = MultiGraph(h.vertices - xs, kept)
+    elif how == "reduce_low_degree":
+        child = reduce_low_degree(h)[0]
+        want = MultiGraph(child.vertices, child.edges)
+    else:
+        child = h.delete_edges(xs)
+        want = MultiGraph(h.vertices, {eid: uv for eid, uv in h.edges.items() if eid not in xs})
+    assert h._adj == before
+    assert child == want and hash(child) == hash(want)
+    assert _view(child) == _view(want)
+    return child
+
+
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_derived_graphs_match_a_rebuild(g, data):
@@ -139,20 +163,19 @@ def test_derived_graphs_match_a_rebuild(g, data):
         h = data.draw(st.sampled_from(family))
         how = data.draw(st.sampled_from(["delete_vertices", "induced", "delete_edges",
                                          "reduce_low_degree"]))
-        if how in ("delete_vertices", "induced"):
-            xs = data.draw(st.sets(st.sampled_from(sorted(h.vertices)))) if h.n else set()
-            child = h.induced(h.vertices - xs) if how == "induced" else h.delete_vertices(xs)
-            kept = {eid: uv for eid, uv in h.edges.items() if not xs.intersection(uv)}
-            want = MultiGraph(h.vertices - xs, kept)
-        elif how == "reduce_low_degree":
-            child = reduce_low_degree(h)[0]
-            want = MultiGraph(child.vertices, child.edges)
-        else:
-            xs = data.draw(st.sets(st.sampled_from(sorted(h.edges)))) if h.m else set()
-            child = h.delete_edges(xs)
-            want = MultiGraph(h.vertices, {eid: uv for eid, uv in h.edges.items() if eid not in xs})
-        assert child == want and hash(child) == hash(want)
-        assert _view(child) == _view(want)
-        family.append(child)
-        views.append(_view(child))
+        pool = sorted(h.edges) if how == "delete_edges" else sorted(h.vertices)
+        xs = data.draw(st.sets(st.sampled_from(pool))) if pool else set()
+        family.append(_derive_checked(h, how, xs))
+        views.append(_view(family[-1]))
     assert [_view(h) for h in family] == views
+
+
+def test_suppression_onto_an_adjacent_pair_leaves_the_parent():
+    # suppressing a degree-2 vertex whose neighbours are already adjacent
+    # adds the fresh edge to an id list the reduced graph shares with g
+    pendant_paths = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 5), (5, 6), (6, 7)]
+    for g in (MultiGraph.complete(3), MultiGraph.from_edges(range(8), pendant_paths)):
+        view = _view(g)
+        child = _derive_checked(g, "reduce_low_degree", set())
+        assert child.m == 2 and len(child.underlying_pairs()) == 1
+        assert _view(g) == view

@@ -12,6 +12,7 @@ from helpers import (
     multigraphs,
     random_multigraph,
     ref_exact_epack_cycles,
+    ref_exact_vcover_cycles,
     ref_exact_vpack_cycles,
     ref_pack_bound,
 )
@@ -23,6 +24,7 @@ from eppack.graph import Mode, MultiGraph
 from eppack.iso import enumerate_copies
 from eppack.oracles import (
     _pack_bound,
+    _vcover_bound,
     default_budget,
     exact_cover_subgraph,
     exact_ecover_cycles,
@@ -139,6 +141,41 @@ def test_vpack_matches_reference_on_fixed_seeds():
     rng = SplitMix64(707)
     for _ in range(80):
         _same_vpack(random_multigraph(rng, max_n=10, max_m=18))
+
+
+def _same_vcover(g):
+    got, ref = exact_vcover_cycles(g), ref_exact_vcover_cycles(g)
+    assert got.value == ref.value
+    assert got.witness.elements == ref.witness.elements
+    assert got.explored <= ref.explored
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=9, max_pairs=12))
+@example(MultiGraph.complete(5))
+@example(MultiGraph.petersen())
+@example(MultiGraph.theta(3))
+@example(MultiGraph.from_edges(range(4), [(0, 1), (0, 1), (2, 3), (2, 3), (1, 2)]))
+def test_vcover_matches_reference(g):
+    # the rank bound drops only sizes and subtrees that cannot succeed, so
+    # the first cover found, and with it value and witness, stays the same
+    _same_vcover(g)
+
+
+def test_vcover_matches_reference_on_fixed_seeds():
+    for seed in range(40):
+        _same_vcover(gnp(6 + seed % 7, 0.25 + 0.006 * seed, seed))
+    rng = SplitMix64(1212)
+    for _ in range(80):
+        _same_vcover(random_multigraph(rng, max_n=10, max_m=18))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=8, max_pairs=12))
+@example(MultiGraph.complete(5))
+@example(MultiGraph.from_edges(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+def test_vcover_bound_is_a_lower_bound(g):
+    assert _vcover_bound(g) <= bf_vcover_cycles(g)
 
 
 def _bound_holds(g):
