@@ -144,8 +144,21 @@ def exact_elimination_td(g):
     in G[S] (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact
     algorithms for treewidth", ESA 2006).  Every vertex of one component
     shares that set, so each component of G[S] is grown once, bit-parallel.
-    Ties go to the smallest i.  Masks are visited in increasing order, which
-    puts S - i before S.
+    Ties go to the smallest i.
+
+    The masks are settled top-down, from the full set, and each only as far
+    as its caller needs: solve(s, limit) returns cost[s] when that is below
+    limit, and otherwise a lower bound of at least limit.  low, the least
+    |Q| over the components of G[s], bounds cost[s] from below, since each
+    term max(cost[S - i], |Q(S - i, i)|) is at least its |Q|.  The bits of
+    s are walked in ascending order with the best term so far as the
+    limit: a term whose |Q| or whose bound reaches that limit cannot beat
+    it and is skipped, every other term is exact, and a term replaces the
+    best only when strictly smaller.  So the first i to reach the minimum
+    is kept, the least (cost, i) that a full bottom-up pass picks, and the
+    walk stops once the best is down to low, where a later i can only tie.
+    Each mask keeps its exact cost and chosen bit, or the best lower bound
+    found: memory is still 2^n.
 
     Only intended for hosts of at most EXACT_TD_MAX_N vertices; the
     heuristics cover the rest.
@@ -162,34 +175,60 @@ def exact_elimination_td(g):
     for s in range(1, 1 << n):
         low = s & -s
         nbrs[s] = nbrs[low] | nbrs[s ^ low]
-    cost = [-1] * (1 << n)
-    choice = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        best = n << 4  # (w << 4) | i orders as (w, i): w < n, i < EXACT_TD_MAX_N < 16
-        rest = mask
+    exact = [None] * (1 << n)  # cost[s], once known
+    exact[0] = -1
+    lower = [0] * (1 << n)  # a lower bound on cost[s] otherwise
+    choice = [0] * (1 << n)  # the bit of the chosen i
+
+    def solve(s, limit):  # the caller has looked up exact[s] and lower[s]
+        comps = []
+        low = n
+        rest = s
         while rest:
             comp = rest & -rest
-            grown = comp | nbrs[comp] & mask
+            grown = comp | nbrs[comp] & s
             while grown != comp:
                 comp = grown
-                grown = comp | nbrs[comp] & mask
+                grown = comp | nbrs[comp] & s
             rest ^= comp
-            q = (nbrs[comp] & ~mask).bit_count()
-            while comp:
-                b = comp & -comp
-                comp ^= b
-                w = cost[mask ^ b]
-                key = ((w if w > q else q) << 4) | (b.bit_length() - 1)
-                if key < best:
-                    best = key
-        cost[mask] = best >> 4
-        choice[mask] = best & 15
+            q = (nbrs[comp] & ~s).bit_count()
+            if q < low:
+                low = q
+            comps.append((comp, q))
+        best, pick = limit, 0
+        if low < limit:
+            rest = s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                for comp, q in comps:
+                    if comp & bit:
+                        break
+                if q < best:
+                    t = s ^ bit
+                    w = exact[t]
+                    if w is None:
+                        w = lower[t]
+                        if w < best:
+                            w = solve(t, best)
+                    if w < best:
+                        best, pick = (w if w > q else q), bit
+                        if best <= low:
+                            break
+        if pick:
+            exact[s] = best
+            choice[s] = pick
+            return best
+        lower[s] = low = limit if limit > low else low
+        return low
+
+    solve((1 << n) - 1, n + 1)
     order = []
     mask = (1 << n) - 1
     while mask:
-        i = choice[mask]
-        order.append(verts[i])
-        mask ^= 1 << i
+        bit = choice[mask]
+        order.append(verts[bit.bit_length() - 1])
+        mask ^= bit
     order.reverse()
     return _td_from_elimination(g, order)
 

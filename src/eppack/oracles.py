@@ -80,6 +80,26 @@ def _chordless_cycles(h, s, t=None):
     return out
 
 
+def _core_rank(h, deg):
+    """h's cycle rank m - n + components, read off its 2-core degrees ``deg``.
+
+    Peeling keeps the rank, and each component of h keeps a connected core
+    or none, so only the core's components are counted.
+    """
+    adj, seen, comps = h._adj, set(), 0
+    for s in deg:
+        if s not in seen:
+            comps += 1
+            seen.add(s)
+            stack = [s]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in seen and u in deg:
+                        seen.add(u)
+                        stack.append(u)
+    return sum(deg.values()) // 2 - len(deg) + comps
+
+
 def _pack_bound(h, mode, shortest=None):
     """Upper bound on the number of members of a cycle packing of h.
 
@@ -107,7 +127,7 @@ def _pack_bound(h, mode, shortest=None):
         room = (m_core - odd // 2) // shortest
     if room <= m_core - n_core + 1:
         return room
-    return min(room, h.m - h.n + len(h.components()))
+    return min(room, _core_rank(h, deg))
 
 
 # -- exact cycle packing / covering -------------------------------------------
@@ -147,10 +167,11 @@ def exact_vpack_cycles(g):
     return ExactResult(best[0], witness, counter.nodes)
 
 
-def _vcover_bound(h):
-    """Fewest 2-core vertices whose core degrees less one sum to h's cycle rank."""
-    rank = h.m - h.n + len(h.components())
-    freed = accumulate(sorted((d - 1 for d in h.core_degrees().values()), reverse=True), initial=0)
+def _vcover_bound(h, deg):
+    """Fewest 2-core vertices whose core degrees ``deg`` less one sum to h's
+    cycle rank."""
+    rank = _core_rank(h, deg)
+    freed = accumulate(sorted((d - 1 for d in deg.values()), reverse=True), initial=0)
     return next(size for size, total in enumerate(freed) if total >= rank)
 
 
@@ -161,7 +182,7 @@ def exact_vcover_cycles(g):
     by at most d - 1 (d edges go, and its component splits into at most d),
     and a forest has rank 0.  A cover meets the 2-core in a cover of it, the
     core's rank is h's (see ``MultiGraph.core_degrees``), and degrees only
-    fall as vertices go, so ``_vcover_bound(h)`` vertices are needed.  The
+    fall as vertices go, so ``_vcover_bound`` vertices are needed.  The
     search tries sizes from g's bound up and drops each subtree whose bound
     exceeds the size left: neither can succeed, so the first cover found
     stays the same.
@@ -170,18 +191,19 @@ def exact_vcover_cycles(g):
 
     def attempt(h, size_left, chosen):
         counter.tick()
-        if _vcover_bound(h) > size_left:
+        deg = h.core_degrees()
+        if _vcover_bound(h, deg) > size_left:
             return None
+        if not deg:
+            return chosen  # a forest
         c = h.shortest_cycle()
-        if c is None:
-            return chosen
         for v in sorted(c.vertex_set):
             got = attempt(h.delete_vertices({v}), size_left - 1, chosen + [v])
             if got is not None:
                 return got
         return None
 
-    for size in range(_vcover_bound(g), g.n + 1):
+    for size in range(_vcover_bound(g, g.core_degrees()), g.n + 1):
         got = attempt(g, size, [])
         if got is not None:
             witness = CoverCertificate(Mode.VERTEX, frozenset(got))

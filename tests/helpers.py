@@ -339,6 +339,53 @@ def ref_validate_td(g, td):
     return Diagnostics()
 
 
+def ref_subset_dp_td(g):
+    """``decomp.exact_elimination_td`` as a full bottom-up subset DP: every
+    mask in increasing order, which puts S - i before S.  Frozen from the
+    package so the top-down search can be held to it at n up to 15, where
+    ``ref_exact_elimination_td``'s per-pair BFS is too slow."""
+    n = g.n
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [0] * (1 << n)  # nbrs[s]: the neighbours of the vertices in s
+    for v in verts:
+        for u in g.neighbors(v):
+            nbrs[1 << index[v]] |= 1 << index[u]
+    for s in range(1, 1 << n):
+        low = s & -s
+        nbrs[s] = nbrs[low] | nbrs[s ^ low]
+    cost = [-1] * (1 << n)
+    choice = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        best = n << 4  # (w << 4) | i orders as (w, i): w < n, i < 16
+        rest = mask
+        while rest:
+            comp = rest & -rest
+            grown = comp | nbrs[comp] & mask
+            while grown != comp:
+                comp = grown
+                grown = comp | nbrs[comp] & mask
+            rest ^= comp
+            q = (nbrs[comp] & ~mask).bit_count()
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                w = cost[mask ^ b]
+                key = ((w if w > q else q) << 4) | (b.bit_length() - 1)
+                if key < best:
+                    best = key
+        cost[mask] = best >> 4
+        choice[mask] = best & 15
+    order = []
+    mask = (1 << n) - 1
+    while mask:
+        i = choice[mask]
+        order.append(verts[i])
+        mask ^= 1 << i
+    order.reverse()
+    return _td_from_elimination(g, order)
+
+
 def ref_exact_elimination_td(g):
     n = g.n
     verts = sorted(g.vertices)

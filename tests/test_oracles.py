@@ -23,6 +23,7 @@ from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
 from eppack.iso import enumerate_copies
 from eppack.oracles import (
+    _core_rank,
     _pack_bound,
     _vcover_bound,
     default_budget,
@@ -175,7 +176,9 @@ def test_vcover_matches_reference_on_fixed_seeds():
 @example(MultiGraph.complete(5))
 @example(MultiGraph.from_edges(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
 def test_vcover_bound_is_a_lower_bound(g):
-    assert _vcover_bound(g) <= bf_vcover_cycles(g)
+    deg = g.core_degrees()
+    assert _core_rank(g, deg) == g.m - g.n + len(g.components())
+    assert _vcover_bound(g, deg) <= bf_vcover_cycles(g)
 
 
 def _bound_holds(g):
