@@ -32,7 +32,6 @@ def graph_hash(g):
 class FuzzReport:
     trials: int
     seed: int
-    rows: list = field(default_factory=list)  # (hash, pack, cover, ratio)
     max_ratio: float = 0.0
     violations: list = field(default_factory=list)
 
@@ -49,10 +48,8 @@ def _fuzz(trials, max_n, seed, make_instance, pack_fn, cover_fn, bound):
         cover = cover_fn(g)
         if pack > cover:
             raise InvariantViolated(f"packing {pack} exceeds covering {cover}")
-        ratio = cover / pack if pack else 0.0
-        report.rows.append((graph_hash(g), pack, cover, ratio))
         if pack:
-            report.max_ratio = max(report.max_ratio, ratio)
+            report.max_ratio = max(report.max_ratio, cover / pack)
         if cover > bound * pack:
             report.violations.append((trial, graph_hash(g), pack, cover))
     return report

@@ -356,7 +356,18 @@ class MultiGraph:
         so none beats C; and a BFS over ascending neighbours gives each
         vertex its lexicographically smallest shortest path from the
         source, so the candidate of C's edge {v0, v_last} is C itself.
+
+        Both passes search only the 2-core, which holds every cycle and every
+        shortest path between its vertices (a pendant tree hangs by one
+        vertex), and a root with under two core neighbours above it is no
+        cycle's smallest vertex; so pendant trees cost only the peel.
         """
+        return self._shortest_cycle(self.core_degrees())
+
+    def _shortest_cycle(self, core):
+        """``shortest_cycle`` given ``core``, this graph's ``core_degrees()``."""
+        if not core:
+            return None
         adj = self._adj
         if len(self.underlying_pairs()) < self.m:
             u, v = min(
@@ -364,9 +375,8 @@ class MultiGraph:
                 if u < v and len(ids) > 1
             )
             return Cycle((u, v), tuple(adj[u][v][:2]))  # unbeatable when loopless
-        if self.m <= self.n and self.is_forest():
-            return None  # more edges than vertices always close a cycle
-        nbrs = {v: sorted(a) for v, a in adj.items()}
+        rows = adj if len(core) == self.n else {v: [u for u in adj[v] if u in core] for v in core}
+        nbrs = {v: sorted(a) for v, a in rows.items()}
         best, root, root_dist = self.n + 1, None, None
         for r in sorted(nbrs):
             if best == 3:

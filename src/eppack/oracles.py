@@ -100,8 +100,8 @@ def _core_rank(h, deg):
     return sum(deg.values()) // 2 - len(deg) + comps
 
 
-def _pack_bound(h, mode, shortest=None):
-    """Upper bound on the number of members of a cycle packing of h.
+def _pack_bound(h, deg, mode, shortest=None):
+    """Upper bound on the size of a cycle packing of h, whose 2-core is ``deg``.
 
     The members lie in the 2-core (see ``MultiGraph.core_degrees``) and are
     independent in the cycle space, so there are at most cycle-rank of
@@ -112,9 +112,10 @@ def _pack_bound(h, mode, shortest=None):
     at most m_core - odd_core/2 edges are packed.
 
     A nonempty core has rank at least m_core - n_core + 1, so the
-    components are counted only when the packing term exceeds that.
+    components are counted only when the packing term exceeds that.  A
+    forest gets 0: the searches enter each node with acc <= best, so this
+    bound alone prunes every forest.
     """
-    deg = h.core_degrees()
     n_core, m_core = len(deg), sum(deg.values()) // 2
     if not n_core:
         return 0
@@ -140,13 +141,10 @@ def exact_vpack_cycles(g):
 
     def rec(h, acc, members):
         counter.tick()
-        if acc + _pack_bound(h, Mode.VERTEX) <= best[0]:
+        deg = h.core_degrees()
+        if acc + _pack_bound(h, deg, Mode.VERTEX) <= best[0]:
             return
-        c = h.shortest_cycle()
-        if c is None:
-            if acc > best[0]:
-                best[0], best[1] = acc, list(members)
-            return
+        c = h._shortest_cycle(deg)
         if acc + 1 > best[0]:
             # any single extra cycle already improves; record greedily
             best[0], best[1] = acc + 1, list(members) + [c]
@@ -196,7 +194,7 @@ def exact_vcover_cycles(g):
             return None
         if not deg:
             return chosen  # a forest
-        c = h.shortest_cycle()
+        c = h._shortest_cycle(deg)
         for v in sorted(c.vertex_set):
             got = attempt(h.delete_vertices({v}), size_left - 1, chosen + [v])
             if got is not None:
@@ -217,26 +215,20 @@ def exact_epack_cycles(g):
     # greedy shortest-cycle packing seeds the incumbent so pruning bites
     # from the first branch
     residue, seed = g, []
-    while True:
-        c = residue.shortest_cycle()
-        if c is None:
-            break
+    while (c := residue.shortest_cycle()) is not None:
         seed.append(c)
         residue = residue.delete_edges(c.edge_set)
     best = [len(seed), seed]
 
     def rec(h, acc, members):
         counter.tick()
-        if acc + _pack_bound(h, Mode.EDGE) <= best[0]:
+        deg = h.core_degrees()
+        if acc + _pack_bound(h, deg, Mode.EDGE) <= best[0]:
             return
-        c = h.shortest_cycle()
-        if c is None:
-            if acc > best[0]:
-                best[0], best[1] = acc, list(members)
-            return
+        c = h._shortest_cycle(deg)
         # a 2-cycle means a parallel pair and a 3-cycle none, so below
         # length 4 the bound above already divided by len(c)
-        if len(c) > 3 and acc + _pack_bound(h, Mode.EDGE, len(c)) <= best[0]:
+        if len(c) > 3 and acc + _pack_bound(h, deg, Mode.EDGE, len(c)) <= best[0]:
             return
         if acc + 1 > best[0]:
             best[0], best[1] = acc + 1, list(members) + [c]

@@ -7,7 +7,7 @@ import pytest
 from eppack import io as eio
 from eppack.cli import main
 from eppack.decomp import min_fill_td
-from eppack.gadgets import thicken
+from eppack.gadgets import MinorModel, thicken, verify_minor_model
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
 from eppack.treepart import bfs_layer_tp
@@ -65,13 +65,18 @@ def test_oracle_subgraph_with_pattern(capsys, host_file):
 
 def test_trees_gallai_and_select(tmp_path, capsys):
     from eppack.gen import random_subtree_family
-    from eppack.trees import SubtreeFamily
+    from eppack.trees import SubtreeFamily, gallai, rs_selection
 
     fam = random_subtree_family(10, 6, 3, 1)
     fpath = tmp_path / "fam.txt"
     fpath.write_text(eio.format_family(fam))
     assert main(["trees", "gallai", "-i", str(fpath)]) == 0
     assert "packing" in capsys.readouterr().out
+    out = tmp_path / "gallai.json"
+    assert main(["trees", "gallai", "-i", str(fpath), "-o", str(out)]) == 0
+    packing, cover = gallai(fam)
+    assert capsys.readouterr().out == f"packing {len(packing)} cover {len(cover)}\n"
+    assert json.loads(out.read_text()) == {"packing": packing.to_dict(), "cover": cover.to_dict()}
 
     # two families on one path, each rich enough for k=1
     tree = MultiGraph.path_graph(4)
@@ -80,8 +85,20 @@ def test_trees_gallai_and_select(tmp_path, capsys):
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     pa.write_text(eio.format_family(a))
     pb.write_text(eio.format_family(b))
-    assert main(["trees", "select", "-i", str(pa), str(pb), "-k", "1"]) == 0
-    assert "selection found" in capsys.readouterr().out
+    sel = tmp_path / "select.json"
+    assert main(["trees", "select", "-i", str(pa), str(pb), "-k", "1", "-o", str(sel)]) == 0
+    assert capsys.readouterr().out == "selection found\n"
+    got = json.loads(sel.read_text())
+    want = rs_selection(tree, [a.members, b.members], 1)
+    assert got == [[sorted(m) for m in per] for per in want]
+    (ma,), (mb,) = got
+    assert frozenset(ma) in a.members and frozenset(mb) in b.members and not set(ma) & set(mb)
+
+    # families on different trees
+    pc = tmp_path / "c.txt"
+    pc.write_text(eio.format_family(SubtreeFamily(MultiGraph.path_graph(5), (frozenset({4}),))))
+    assert main(["trees", "select", "-i", str(pa), str(pc), "-k", "1"]) == 2
+    assert "share one tree" in capsys.readouterr().err
 
     thin = SubtreeFamily(tree, (frozenset({0, 1}),))
     other = SubtreeFamily(tree, (frozenset({1, 2}),))
@@ -157,6 +174,34 @@ def test_gadget_pipeline(tmp_path, capsys):
 
     assert main(["gadget", "gamma", "-d", "2", "-k", "2"]) == 0
     assert "14 vertices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant", ["minor", "subcubic"])
+def test_gadget_thicken_variants(tmp_path, capsys, variant):
+    out = tmp_path / "gad.gr"
+    argv = ["gadget", "thicken", "--pattern", "k4", "-k", "2", f"--{variant}", "-o", str(out)]
+    assert main(argv) == 0
+    # the .gr file numbers vertices 1..n; the .meta file keeps the ids
+    gadget = eio.read_gadget_meta(str(out) + ".meta")
+    g = gadget.graph
+    assert (eio.read_gr(out).n, eio.read_gr(out).m) == (g.n, g.m)
+    assert capsys.readouterr().out == f"{g.n} vertices, {g.m} edges\n"
+    assert max(map(g.degree, g.vertices)) <= 3
+    assert gadget.variant == {"minor": "minor", "subcubic": "subdivision-subcubic"}[variant]
+    if variant == "subcubic":
+        return
+    route_out = tmp_path / "model.json"
+    x = min(g.vertices)
+    argv = ["gadget", "route", "-i", str(out) + ".meta", "-x", str(x), "-o", str(route_out)]
+    assert main(argv) == 0
+    d = json.loads(route_out.read_text())
+    assert d["kind"] == "minor"
+    model = MinorModel(
+        {int(v): frozenset(bs) for v, bs in d["branch_sets"].items()},
+        {tuple(key): eid for key, eid in d["edge_map"]},
+    )
+    assert verify_minor_model(g, MultiGraph.complete(4), model)
+    assert all(x not in bs for bs in model.branch_sets.values())
 
 
 def test_fuzz_and_bench(tmp_path, capsys):

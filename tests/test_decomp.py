@@ -260,6 +260,31 @@ def test_balanced_separation_properties():
             assert 3 * det.exact_vpack(g.induced(side)) <= 2 * k
 
 
+def test_balanced_separation_at_a_join_node():
+    # on this host the first postorder node past 2k/3 is a join whose two
+    # children tie at one cycle each, so the smaller id must be chosen
+    det = cycles_detector()
+    g = gnp(12, 0.3, 373)
+    ntd = to_nice(g, min_fill_td(g))
+    k = det.exact_vpack(g)
+    sub_vs = ntd.subtree_vertices()
+
+    def pack_below(t):
+        return det.exact_vpack(g.induced(sub_vs[t] - ntd.nodes[t].bag))
+
+    t = next(t for t in ntd.postorder() if 3 * pack_below(t) > 2 * k)
+    node = ntd.nodes[t]
+    assert node.kind == "join"
+    u = max(node.children, key=lambda c: (pack_below(c), -c))
+    assert u == min(node.children) and pack_below(u) == pack_below(max(node.children))
+    sep = balanced_separation(g, ntd, det.exact_vpack)
+    assert sep.a == sub_vs[u]
+    assert sep.b == g.vertices - (sub_vs[u] - ntd.nodes[u].bag)
+    assert sep.validate(g)
+    for side in (sep.a - sep.b, sep.b - sep.a):
+        assert 3 * det.exact_vpack(g.induced(side)) <= 2 * k
+
+
 def test_balanced_separation_wraps_only_package_errors():
     g = MultiGraph.cycle_graph(4)
     ntd = to_nice(g, min_fill_td(g))

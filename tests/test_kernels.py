@@ -78,6 +78,11 @@ def with_pendant_trees(length, depth):
     return MultiGraph.from_edges(range(fresh), pairs)
 
 
+def with_chords(g, pairs):
+    """g plus one edge per pair, numbered after g's edges."""
+    return MultiGraph.from_edges(g.vertices, list(g.edges.values()) + pairs)
+
+
 def grid(k):
     pairs = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
     pairs += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
@@ -90,15 +95,30 @@ def test_shortest_cycle_at_scale():
     # i joins i and i + 1), and the grid's first square
     n = 2000
     assert MultiGraph.cycle_graph(n).shortest_cycle() == Cycle(tuple(range(n)), tuple(range(n)))
-    assert with_pendant_trees(1000, 1).shortest_cycle() == Cycle(
-        tuple(range(1000)), tuple(range(1000))
-    )
+    for length in (1000, 10000):  # the girth pass sees only the cycle
+        assert with_pendant_trees(length, 1).shortest_cycle() == Cycle(
+            tuple(range(length)), tuple(range(length))
+        )
+    # more edges than vertices: a chord across the cycle, and one that pulls
+    # two pendant paths into the 2-core
+    g = with_pendant_trees(4000, 3)
+    g = with_chords(g, [(0, 2000), (4000 + 3 * 500 + 2, g.n - 1)])
+    core = g.induced(g.core_degrees())
+    assert g.m > g.n and core.n < g.n
+    assert g.shortest_cycle() == core.shortest_cycle()
     g = grid(40)
     square = (0, 1, 41, 40)
     steps = zip(square, square[1:] + square[:1])
     assert g.shortest_cycle() == Cycle(square, tuple(g.edges_between(a, b)[0] for a, b in steps))
     for g in [with_pendant_trees(100, 3), grid(6), MultiGraph.complete(12)]:
         assert g.shortest_cycle() == ref_shortest_cycle(g)
+    for length in (3, 5, 8, 13, 21):
+        for depth in (1, 2, 3):
+            g = with_pendant_trees(length, depth)
+            last = g.n - 1
+            chords = ([(0, length // 2)], [(length, last)], [(1, length + 1), (last - 1, last)])
+            for h in (with_chords(g, pairs) for pairs in chords):
+                assert h.shortest_cycle() == ref_shortest_cycle(h)
     for seed in range(30):  # girths from 3 to 11, and some forests
         n = 20 + 20 * (seed % 3)
         for g in (gnp(n, (1 + 0.05 * seed) / n, seed), gnp(60, (1 + 0.05 * seed) / 60, seed)):

@@ -189,7 +189,8 @@ def _bound_holds(g):
     for mode, brute in ((Mode.VERTEX, bf_vpack_cycles), (Mode.EDGE, bf_epack_cycles)):
         best = brute(g)
         for shortest in (None, girth) if girth else (None,):
-            assert best <= _pack_bound(g, mode, shortest) <= ref_pack_bound(g, mode, shortest)
+            assert best <= _pack_bound(g, g.core_degrees(), mode, shortest) <= ref_pack_bound(
+                g, mode, shortest)
 
 
 # the brute force is exponential in the number of cycles, which many parallel
