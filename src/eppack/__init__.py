@@ -24,7 +24,6 @@ from .decomp import (
     Separation,
     TreeDecomposition,
     balanced_separation,
-    compose_ep,
     cover_connected_bounded_tw,
     disconnected_pattern_ep,
     exact_elimination_td,
@@ -51,7 +50,6 @@ from .gadgets import (
     Gadget,
     MinorModel,
     SubdivisionModel,
-    canonical_model,
     gamma,
     route_avoiding,
     thicken,

@@ -104,14 +104,14 @@ class GapTable:
         return "\n".join(lines) + "\n"
 
 
-def bench_gap(mode, k_max, n, p, seed, c=4.0):
+def bench_gap(mode, k_max, n, p, seed):
     """Run the constructive cycle routine for growing k on seeded hosts."""
     det = cycles_detector()
     rng = SplitMix64(seed)
     table = GapTable()
     for k in range(1, k_max + 1):
         g = gnp(n, p, rng.next_u64())
-        outcome = ep_cycles(g, k, mode, c)
+        outcome = ep_cycles(g, k, mode)
         if outcome.packing is not None:
             if not verify_packing(g, det, outcome.packing):
                 raise InvariantViolated(f"ep_cycles packing fails verification at k={k}")

@@ -62,10 +62,15 @@ def _detector(name):
     return dets[name]
 
 
+def _write(path, text):
+    """The one place the CLI opens an output file."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(args, text):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -117,7 +122,7 @@ def cmd_oracle(args):
         result = fn(g)
     print(result.value)
     if args.output:
-        io.write_certificate(result.witness, args.output)
+        _emit(args, io.format_certificate(result.witness, None, None))
     return EXIT_OK
 
 
@@ -215,8 +220,8 @@ def cmd_gadget(args):
         _emit_json(args, io.model_to_dict(model))
         return EXIT_OK
     if args.output:
-        io.write_gr(gadget.graph, args.output)
-        io.write_gadget_meta(gadget, args.output + ".meta")
+        _write(args.output, io.format_gr(gadget.graph))
+        _write(args.output + ".meta", io.format_gadget_meta(gadget))
     print(f"{gadget.graph.n} vertices, {gadget.graph.m} edges")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ from .graph import Mode, MultiGraph, postorder, subtree_unions
 from .trees import SubtreeFamily, gallai, rs_selection
 
 EXACT_TD_MAX_N = 15  # the subset DP takes 2^n memory and time
-CEILING_SAMPLES = ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5))
 
 
 @dataclass(frozen=True)
@@ -424,15 +423,6 @@ class Ceiling:
 
     f: object  # callable int -> int
 
-    def check(self):
-        """Superadditivity and monotonicity on the CEILING_SAMPLES pairs."""
-        for x, y in CEILING_SAMPLES:
-            if self.f(x) + self.f(y) > self.f(x + y):
-                return False
-            if self.f(x) > self.f(x + 1):
-                return False
-        return True
-
 
 def _restrict_td(td, keep):
     return TreeDecomposition(
@@ -440,13 +430,11 @@ def _restrict_td(td, keep):
     )
 
 
-def cover_connected_bounded_tw(g, det, ceiling, td=None):
+def cover_connected_bounded_tw(g, det, ceiling, td):
     """Recursive cover for connected patterns via balanced separations.
 
     The detector's exact vertex-packing oracle gives the packing numbers.
     """
-    if td is None:
-        td = min_fill_td(g)
     # every graph solved below is an induced subgraph of g, so its vertex
     # set names it; balanced_separation re-asks for h and for its parts
     packs = {}
@@ -548,16 +536,3 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
         raise InvariantViolated("a witness survives the cover")
     return EPOutcome(report, cover=cover)
 
-
-# -- composition combinator -----------------------------------------------------------
-
-
-def compose_ep(ceiling, solver_family, pack_estimator):
-    """General solver from a ceiling and per-parameter-bound solvers."""
-
-    def solve(g):
-        k = pack_estimator(g)
-        solver = solver_family(ceiling.f(k))
-        return solver(g)
-
-    return solve

@@ -168,7 +168,7 @@ def thicken(h, k):
 
 
 def _replace_by_caterpillars(gadget, targets):
-    """Replace each target vertex by a left-leaning caterpillar.
+    """Replace each target vertex, of degree >= 4, by a left-leaning caterpillar.
 
     Spine vertices inherit the replaced vertex's class memberships, so the
     routing machinery keeps working on the result.  Edge ids survive the
@@ -196,8 +196,6 @@ def _replace_by_caterpillars(gadget, targets):
             ),
         )
         deg = len(legs)
-        if deg <= 3:
-            continue
         spine = []
         for t in range(deg - 2):
             vid = next_v
@@ -207,8 +205,6 @@ def _replace_by_caterpillars(gadget, targets):
             spine.append(vid)
         for a, b in zip(spine, spine[1:]):
             edges[next_e] = (a, b) if a < b else (b, a)
-            incident.setdefault(a, []).append(next_e)
-            incident.setdefault(b, []).append(next_e)
             next_e += 1
         # legs 0,1 on the first spine vertex, the last two on the final one
         owner = [spine[0], spine[0]]
@@ -218,10 +214,8 @@ def _replace_by_caterpillars(gadget, targets):
             a, b = edges[eid]
             other = b if a == w else a
             edges[eid] = (s, other) if s < other else (other, s)
-            incident.setdefault(s, []).append(eid)
         vertices.discard(w)
         del labels[w]
-        del incident[w]
         replaced[w] = tuple(spine)
 
     def remap(vs):
@@ -426,11 +420,6 @@ def route_avoiding(gadget, x):
     if not verify_subdivision_model(gadget.graph, h, model):
         raise RoutingFailed("assembled subdivision model failed verification")
     return model
-
-
-def canonical_model(gadget):
-    """The model produced with nothing forbidden."""
-    return route_avoiding(gadget, frozenset())
 
 
 # -- verification -----------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Readers and writers for the text formats.
+"""Parsers, readers and formatters for the text formats.
 
 Graphs use the PACE-style `p gr` format with 1-based indices; repeated
-edge lines are parallel edges.  Writers emit sorted, normalized output so
-a write/read/write cycle is byte-identical.
+edge lines are parallel edges.  Formatters return sorted, normalized text,
+so a format/parse/format cycle is byte-identical; the CLI writes the files.
 """
 
 import json
@@ -86,11 +86,6 @@ def read_gr(path):
     return parse_gr(_read_text(path))
 
 
-def write_gr(g, path):
-    with open(path, "w") as fh:
-        fh.write(format_gr(g))
-
-
 # -- bag files: tree decompositions and tree partitions ------------------------
 
 
@@ -145,11 +140,6 @@ def read_td(path):
     return parse_td(_read_text(path))
 
 
-def write_td(td, n, path):
-    with open(path, "w") as fh:
-        fh.write(format_td(td, n))
-
-
 def parse_tp(text):
     tree, bags = _parse_bags(text, "tp", 2)
     return TreePartition(tree, 0, bags)
@@ -163,11 +153,6 @@ def format_tp(tp, n):
 
 def read_tp(path):
     return parse_tp(_read_text(path))
-
-
-def write_tp(tp, n, path):
-    with open(path, "w") as fh:
-        fh.write(format_tp(tp, n))
 
 
 # -- subtree families ---------------------------------------------------------------
@@ -207,14 +192,9 @@ def read_family(path):
 def format_certificate(cert, bound_claimed, hypotheses_held):
     """The JSON text of a certificate; a claim that is None is left out.
 
-    Every writer of certificates renders them through this function.
+    The CLI renders every certificate it writes through this function.
     """
     return json.dumps(cert.to_dict(bound_claimed, hypotheses_held), indent=1) + "\n"
-
-
-def write_certificate(cert, path, bound_claimed=None, hypotheses_held=None):
-    with open(path, "w") as fh:
-        fh.write(format_certificate(cert, bound_claimed, hypotheses_held))
 
 
 def read_certificate(path):
@@ -283,10 +263,8 @@ def gadget_from_dict(d):
     )
 
 
-def write_gadget_meta(gadget, path):
-    with open(path, "w") as fh:
-        json.dump(gadget_to_dict(gadget), fh, indent=1)
-        fh.write("\n")
+def format_gadget_meta(gadget):
+    return json.dumps(gadget_to_dict(gadget), indent=1) + "\n"
 
 
 def read_gadget_meta(path):

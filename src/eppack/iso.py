@@ -134,34 +134,37 @@ def enumerate_cycles(g):
                 for b in range(a + 1, len(ids)):
                     push(Cycle((u, v), (ids[a], ids[b])))
 
-    # simple cycles of length >= 3: root at the smallest vertex of the cycle
+    def steps(v, s):  # the (neighbour, edge id) pairs from v to vertices >= s
+        return ((u, e) for u in g.neighbors(v) if u >= s for e in g.edges_between(v, u))
+
+    # simple cycles of length >= 3: root at the smallest vertex of the cycle,
+    # a DFS with one iterator of steps per path vertex
     for s in verts:
         path = [s]
         on_path = {s}
         path_edges = []
-
-        def dfs(v):
-            for u in g.neighbors(v):
-                if u < s:
-                    continue
-                for eid in g.edges_between(v, u):
-                    if path_edges and eid == path_edges[-1]:
-                        continue
-                    if u == s:
-                        if len(path) >= 3 and path[1] < path[-1]:
-                            push(Cycle(tuple(path), tuple(path_edges + [eid])))
-                        continue
-                    if u in on_path:
-                        continue
-                    path.append(u)
-                    on_path.add(u)
-                    path_edges.append(eid)
-                    dfs(u)
-                    path.pop()
-                    on_path.discard(u)
+        stack = [steps(s, s)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path_edges:
+                    on_path.discard(path.pop())
                     path_edges.pop()
-
-        dfs(s)
+                continue
+            u, eid = step
+            if path_edges and eid == path_edges[-1]:
+                continue
+            if u == s:
+                if len(path) >= 3 and path[1] < path[-1]:
+                    push(Cycle(tuple(path), tuple(path_edges + [eid])))
+                continue
+            if u in on_path:
+                continue
+            path.append(u)
+            on_path.add(u)
+            path_edges.append(eid)
+            stack.append(steps(u, s))
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
 
 

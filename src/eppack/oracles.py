@@ -60,10 +60,17 @@ def _chordless_cycles(h, s, t=None):
     """
     adj = h._adj
     out = []
-
-    def extend(path):
-        last = path[-1]
-        for w in sorted(adj[last]):
+    for a in sorted(adj[s]):
+        if a == t:
+            continue
+        # a DFS with one iterator of sorted neighbours per path vertex past s
+        path, stack = [s, a], [iter(sorted(adj[a]))]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                path.pop()
+                continue
             # w may touch the path only at its predecessor, and s only when
             # it closes the cycle: at t, or without t in the one direction
             if w in path or any(x in adj[w] for x in path[1:-1]):
@@ -72,11 +79,8 @@ def _chordless_cycles(h, s, t=None):
                 if w == t if t is not None else path[1] < w:
                     out.append(_cycle_along(adj, path + [w]))
                 continue
-            extend(path + [w])
-
-    for a in sorted(adj[s]):
-        if a != t:
-            extend([s, a])
+            path.append(w)
+            stack.append(iter(sorted(adj[w])))
     return out
 
 
@@ -283,13 +287,14 @@ def _copies_with_elements(g, pattern, mode):
     return out
 
 
-def _greedy_disjoint(copies):
+def _greedy_disjoint(sets):
+    """Indices of the sets a first-fit pass keeps pairwise disjoint."""
     used = set()
     picked = []
-    for w, elems in copies:
-        if not (elems & used):
-            picked.append((w, elems))
-            used |= elems
+    for i, s in enumerate(sets):
+        if not (s & used):
+            picked.append(i)
+            used |= s
     return picked
 
 
@@ -304,8 +309,8 @@ def exact_pack_subgraph(g, pattern, mode):
     per_copy = len(pattern.vertices) if mode is Mode.VERTEX else pattern.m
     if mode is Mode.EDGE and per_copy == 0:
         raise InvalidParameter("edge-mode packing needs a nontrivial pattern")
-    seed = _greedy_disjoint(copies)
-    best = [len(seed), [w for w, _ in seed]]
+    seed = [copies[i][0] for i in _greedy_disjoint([elems for _, elems in copies])]
+    best = [len(seed), seed]
 
     def rec(available, acc, members):
         counter.tick()
@@ -341,20 +346,11 @@ def exact_cover_subgraph(g, pattern, mode):
     # every copy has pattern.n vertices and pattern.m edges: no set holds another
     elem_sets = sorted(set(elems for _, elems in copies), key=sorted)
 
-    def disjoint_lower_bound(sets):
-        used = set()
-        count = 0
-        for s in sets:
-            if not (s & used):
-                count += 1
-                used |= s
-        return count
-
     def attempt(sets, size_left, hit):
         counter.tick()
         if not sets:
             return hit
-        if disjoint_lower_bound(sets) > size_left:
+        if len(_greedy_disjoint(sets)) > size_left:
             return None
         target = min(sets, key=lambda s: (len(s), sorted(s)))
         for x in sorted(target):
@@ -364,8 +360,7 @@ def exact_cover_subgraph(g, pattern, mode):
                 return got
         return None
 
-    start = disjoint_lower_bound(elem_sets)
-    for size in range(start, len(g.elements(mode)) + 1):
+    for size in range(len(_greedy_disjoint(elem_sets)), len(g.elements(mode)) + 1):
         got = attempt(elem_sets, size, frozenset())
         if got is not None:
             return ExactResult(

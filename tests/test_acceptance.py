@@ -362,19 +362,9 @@ def test_criterion_12_format_round_trips(tmp_path):
 
         out = ep_cycles(g, 2, Mode.VERTEX)
         path = tmp_path / f"cert{seed}.json"
-        eio.write_certificate(
-            out.certificate,
-            path,
-            bound_claimed=out.report.bound_claimed,
-            hypotheses_held=out.report.hypotheses_held,
-        )
-        first = path.read_text()
-        eio.write_certificate(
-            eio.read_certificate(path),
-            path,
-            bound_claimed=out.report.bound_claimed,
-            hypotheses_held=out.report.hypotheses_held,
-        )
-        ok &= path.read_text() == first
+        claims = (out.report.bound_claimed, out.report.hypotheses_held)
+        first = eio.format_certificate(out.certificate, *claims)
+        path.write_text(first)
+        ok &= eio.format_certificate(eio.read_certificate(path), *claims) == first
         count += 1
     _verdict(12, "format round-trips", ok, f"{count} files byte-identical")

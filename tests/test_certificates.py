@@ -21,6 +21,7 @@ from eppack.certificates import (
 )
 from eppack.cycles import ep_cycles
 from eppack.errors import BudgetExceeded, InvalidParameter
+from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
 from eppack.oracles import exact_vcover_cycles
 
@@ -76,6 +77,19 @@ def test_minimal_witness_shrinks():
     g = MultiGraph.from_edges(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
     w = det.minimal(g)
     assert len(w.vertices) == 3
+
+
+@pytest.mark.parametrize("t, seed, found, kept", [(3, 0, 8, 7), (4, 2, 10, 9)])
+def test_minimal_theta_witness(t, seed, found, kept):
+    # find's witness has an edge to spare, so the shrinking step runs
+    det, g = theta_detector(t), gnp(8, 0.4, seed)
+    assert len(det.find(g).edges) == found
+    w = det.minimal(g)
+    assert len(w.edges) == kept
+    sub = w.subgraph(g)
+    assert det.find(sub) is not None
+    assert all(det.find(sub.delete_edges([eid])) is None for eid in w.edges)
+    assert w.vertices == {v for eid in w.edges for v in g.endpoints(eid)}
 
 
 def test_theta_detector_small_t():

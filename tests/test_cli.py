@@ -7,7 +7,7 @@ import pytest
 from eppack import io as eio
 from eppack.cli import main
 from eppack.decomp import min_fill_td
-from eppack.gadgets import MinorModel, thicken, verify_minor_model
+from eppack.gadgets import MinorModel, thicken, thicken_subcubic, verify_minor_model
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
 from eppack.treepart import bfs_layer_tp
@@ -16,14 +16,14 @@ from eppack.treepart import bfs_layer_tp
 @pytest.fixture
 def triangle_file(tmp_path):
     path = tmp_path / "k3.gr"
-    eio.write_gr(MultiGraph.complete(3), path)
+    path.write_text(eio.format_gr(MultiGraph.complete(3)))
     return str(path)
 
 
 @pytest.fixture
 def host_file(tmp_path):
     path = tmp_path / "host.gr"
-    eio.write_gr(gnp(10, 0.35, 7), path)
+    path.write_text(eio.format_gr(gnp(10, 0.35, 7)))
     return str(path)
 
 
@@ -56,11 +56,23 @@ def test_oracle_values(capsys, triangle_file, host_file):
     assert int(capsys.readouterr().out.strip()) == g.m - g.n + 1
 
 
-def test_oracle_subgraph_with_pattern(capsys, host_file):
+def test_oracle_subgraph_with_pattern(capsys, host_file, triangle_file):
     assert main(
         ["oracle", "pack-sub", "-i", host_file, "--pattern", "k3", "--mode", "e"]
     ) == 0
-    assert int(capsys.readouterr().out.strip()) >= 0
+    value = int(capsys.readouterr().out.strip())
+    assert value >= 0
+    # a .gr path names a pattern too
+    argv = ["oracle", "pack-sub", "-i", host_file, "--pattern", triangle_file, "--mode", "e"]
+    assert main(argv) == 0
+    assert int(capsys.readouterr().out.strip()) == value
+
+
+def test_oracle_vpack_on_a_long_cycle(tmp_path, capsys):
+    host = tmp_path / "c1500.gr"
+    host.write_text(eio.format_gr(MultiGraph.cycle_graph(1500)))
+    assert main(["oracle", "vpack-cycles", "-i", str(host)]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_trees_gallai_and_select(tmp_path, capsys):
@@ -111,7 +123,7 @@ def test_decomp_actions(tmp_path, host_file, capsys):
     g = eio.read_gr(host_file)
     td = min_fill_td(g)
     tdpath = tmp_path / "host.td"
-    eio.write_td(td, g.n, tdpath)
+    tdpath.write_text(eio.format_td(td, g.n))
 
     assert main(["decomp", "validate", "-i", host_file, "-t", str(tdpath)]) == 0
     assert capsys.readouterr().out.strip() == "valid"
@@ -147,7 +159,7 @@ def test_tp_actions(tmp_path, host_file, capsys):
     g = eio.read_gr(host_file)
     tp = bfs_layer_tp(g)
     tppath = tmp_path / "host.tp"
-    eio.write_tp(tp, g.n, tppath)
+    tppath.write_text(eio.format_tp(tp, g.n))
 
     assert main(["tp", "validate", "-i", host_file, "-t", str(tppath)]) == 0
     assert main(["tp", "width", "-i", host_file, "-t", str(tppath)]) == 0
@@ -163,6 +175,10 @@ def test_gadget_pipeline(tmp_path, capsys):
     ) == 0
     gadget = eio.read_gadget_meta(str(out) + ".meta")
     assert gadget.graph == eio.read_gr(out) or gadget.graph.n == eio.read_gr(out).n
+    made = thicken(MultiGraph.complete(4), 2)
+    assert out.read_text() == eio.format_gr(made.graph)
+    assert (tmp_path / "gad.gr.meta").read_text() == eio.format_gadget_meta(made)
+    assert eio.format_gadget_meta(gadget) == eio.format_gadget_meta(made)
 
     route_out = tmp_path / "model.json"
     x = str(min(gadget.graph.vertices))
@@ -216,6 +232,15 @@ def test_fuzz_and_bench(tmp_path, capsys):
     assert lines[0] == "k,n,pack,cover,bound,hypotheses_held"
     assert len(lines) >= 2
 
+    # sparse hosts: k = 3 and 4 end in verified covers within their bounds
+    argv = ["bench", "--mode", "v", "--k-max", "4", "-n", "20", "-p", "0.1", "--seed", "0"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    rows = [[int(x) for x in line.split(",")[:5]] for line in lines]
+    covers = [row for row in rows if row[2] < row[0]]  # a packing row packs k
+    assert [row[0] for row in covers] == [3, 4]
+    assert all(cover <= bound for _, _, _, cover, bound in covers)
+
 
 def test_verify_round_trip(tmp_path, triangle_file, capsys):
     cert = tmp_path / "c.json"
@@ -227,7 +252,7 @@ def test_verify_round_trip(tmp_path, triangle_file, capsys):
     from eppack.certificates import CoverCertificate
     from eppack.graph import Mode
 
-    eio.write_certificate(CoverCertificate(Mode.VERTEX, frozenset()), cert)
+    cert.write_text(eio.format_certificate(CoverCertificate(Mode.VERTEX, frozenset()), None, None))
     g = eio.read_gr(triangle_file)
     assert g.m == 3
     assert main(["verify", "-i", triangle_file, "-c", str(cert)]) == 1
@@ -236,7 +261,7 @@ def test_verify_round_trip(tmp_path, triangle_file, capsys):
 def test_verify_theta_cover_on_a_long_path(tmp_path, capsys):
     # an empty cover is valid on a forest, whatever its size
     host, cert = tmp_path / "path.gr", tmp_path / "c.json"
-    eio.write_gr(MultiGraph.path_graph(18), host)
+    host.write_text(eio.format_gr(MultiGraph.path_graph(18)))
     cert.write_text(EMPTY_COVER)
     argv = ["verify", "-i", str(host), "-c", str(cert), "--patterns", "theta_3"]
     assert main(argv) == 0
@@ -264,6 +289,8 @@ TRIANGLE_TD = "s td 1 3 3\nb 1 1 2 3\n"
 TRIANGLE_TP = "s tp 1 3\nb 1 1 2 3\n"
 EMPTY_COVER = '{"kind":"cover","mode":"v","elements":[]}'
 THICK_META = json.dumps(eio.gadget_to_dict(thicken(MultiGraph.complete(4), 2)))
+# k5 has degree 4, so its subcubic thickening holds no subdivision of it
+SUBCUBIC_K5_META = eio.format_gadget_meta(thicken_subcubic(MultiGraph.complete(5), 2))
 
 
 MALFORMED = {
@@ -288,6 +315,8 @@ MALFORMED = {
     "patterns-tp-cover": ("tp-cover-patterns", TRIANGLE_TP),
     "route-x-token": ("route-x", THICK_META),
     "route-no-input": ("route-no-input", THICK_META),
+    "route-subcubic-k5": ("gadget", SUBCUBIC_K5_META),
+    "oracle-pattern": ("oracle-pattern", TRIANGLE_GR),
 }
 
 
@@ -314,6 +343,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "tp-cover-patterns": ["tp", "cover", "-i", str(host), "-t", str(bad), "--patterns", "nope"],
         "route-x": ["gadget", "route", "-i", str(bad), "-x", "1,a"],
         "route-no-input": ["gadget", "route", "-x", "0"],
+        "oracle-pattern": ["oracle", "pack-sub", "-i", str(host), "--pattern", "nope"],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

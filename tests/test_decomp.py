@@ -23,7 +23,6 @@ from eppack.decomp import (
     Ceiling,
     TreeDecomposition,
     balanced_separation,
-    compose_ep,
     cover_connected_bounded_tw,
     disconnected_pattern_ep,
     exact_elimination_td,
@@ -326,11 +325,6 @@ def test_deep_trees_need_no_recursion():
         assert 3 * cycle_rank(g.induced(side)) <= 2
 
 
-def test_ceiling_check():
-    assert Ceiling(lambda k: 3 * k).check()
-    assert not Ceiling(lambda k: 10 - k).check()
-
-
 def test_cover_connected_bounded_tw():
     det = cycles_detector()
     for seed in range(10):
@@ -348,7 +342,7 @@ def test_cover_connected_ceiling_violation():
     det = cycles_detector()
     g = MultiGraph.complete(6)  # one packing, width 5
     with pytest.raises(CeilingViolated):
-        cover_connected_bounded_tw(g, det, Ceiling(lambda k: k))
+        cover_connected_bounded_tw(g, det, Ceiling(lambda k: k), min_fill_td(g))
 
 
 def test_disconnected_pattern_ep_both_sides():
@@ -388,20 +382,3 @@ def test_disconnected_two_families():
     member = out.packing.members[0]
     assert len(member.vertices) >= 6  # union of both component witnesses
 
-
-def test_compose_ep():
-    det = cycles_detector()
-
-    def family(r):
-        def solve(g):
-            td = min_fill_td(g)
-            return cover_connected_bounded_tw(
-                g, det, Ceiling(lambda k: max(r, 1) * max(k, 1)), td
-            )
-
-        return solve
-
-    solver = compose_ep(Ceiling(lambda k: 4 * k), family, det.exact_vpack)
-    g = gnp(10, 0.3, 2)
-    cover = solver(g)
-    assert verify_cover(g, det, cover)

@@ -2,7 +2,6 @@ import pytest
 
 from eppack.errors import InvalidParameter, PreconditionViolated
 from eppack.gadgets import (
-    canonical_model,
     gamma,
     route_avoiding,
     thicken,
@@ -77,15 +76,15 @@ def test_subcubic_degree_audit():
 
 def test_canonical_models_verify():
     t = thicken(K5, 2)
-    m = canonical_model(t)
+    m = route_avoiding(t, ())
     assert isinstance(m, SubdivisionModel)
     assert verify_subdivision_model(t.graph, K5, m)
 
     ts = thicken_subcubic(K33, 2)
-    assert verify_subdivision_model(ts.graph, K33, canonical_model(ts))
+    assert verify_subdivision_model(ts.graph, K33, route_avoiding(ts, ()))
 
     tm = thicken_minor(K5, 2)
-    mm = canonical_model(tm)
+    mm = route_avoiding(tm, ())
     assert isinstance(mm, MinorModel)
     assert verify_minor_model(tm.graph, K5, mm)
 
@@ -127,7 +126,7 @@ def test_route_precondition():
 
 def test_verifiers_reject_broken_models():
     t = thicken(MultiGraph.complete(2), 1)
-    m = canonical_model(t)
+    m = route_avoiding(t, ())
     k2 = MultiGraph.complete(2)
     assert verify_subdivision_model(t.graph, k2, m)
     # shared internal vertex across paths
@@ -141,7 +140,7 @@ def test_verifiers_reject_broken_models():
 
 def test_minor_verifier_rejects_overlap():
     tm = thicken_minor(K5, 2)
-    m = canonical_model(tm)
+    m = route_avoiding(tm, ())
     sets = dict(m.branch_sets)
     a, b = sorted(sets)[:2]
     sets[a] = sets[a] | {min(sets[b])}

@@ -6,7 +6,7 @@ reference kernels in ``helpers``).  The deterministic tie-breaking is part of
 the contract, so today's certificates, traces, cycles and oracle node counts
 must equal the frozen ones exactly.
 
-``tests/data/golden_formats.json`` freezes the exact text of the writers
+``tests/data/golden_formats.json`` freezes the exact text of the formatters
 (graphs, tree decompositions in min-fill, nice and exact form, tree partitions,
 subtree families, certificate JSON) and of the certificate-writing CLI
 commands, with their exit codes and stderr, on seeded ``gnp`` hosts.
@@ -187,27 +187,21 @@ def family_text_section():
 
 
 def certificate_text_section():
-    """Text of ``io.write_certificate``, with and without the claims."""
+    """Text of ``io.format_certificate``, with and without the claims."""
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cert.json"
-
-        def text(cert, *claims):
-            eio.write_certificate(cert, path, *claims)
-            return path.read_text()
-
-        for name, g in _format_hosts():
-            for mode in Mode:
-                for k in (1, 3):
-                    res = ep_cycles(g, k, mode)
-                    rep = res.report
-                    kind = "packing" if res.packing is not None else "cover"
-                    key = f"{name} {mode.value} k={k} {kind}"
-                    out[f"{key} claims"] = text(res.certificate, rep.bound_claimed,
-                                                rep.hypotheses_held)
-                    out[key] = text(res.certificate)
-            out[f"{name} vpack witness"] = text(exact_vpack_cycles(g).witness)
-            out[f"{name} vcover witness"] = text(exact_vcover_cycles(g).witness)
+    text = eio.format_certificate
+    for name, g in _format_hosts():
+        for mode in Mode:
+            for k in (1, 3):
+                res = ep_cycles(g, k, mode)
+                rep = res.report
+                kind = "packing" if res.packing is not None else "cover"
+                key = f"{name} {mode.value} k={k} {kind}"
+                out[f"{key} claims"] = text(res.certificate, rep.bound_claimed,
+                                            rep.hypotheses_held)
+                out[key] = text(res.certificate, None, None)
+        out[f"{name} vpack witness"] = text(exact_vpack_cycles(g).witness, None, None)
+        out[f"{name} vcover witness"] = text(exact_vcover_cycles(g).witness, None, None)
     return out
 
 
@@ -218,9 +212,9 @@ def cli_text_section():
         tmp = Path(tmp)
         for name, g in _format_hosts():
             gr, td, tp, result = tmp / "h.gr", tmp / "h.td", tmp / "h.tp", tmp / "out"
-            eio.write_gr(g, gr)
-            eio.write_td(min_fill_td(g), g.n, td)
-            eio.write_tp(bfs_layer_tp(g), g.n, tp)
+            gr.write_text(eio.format_gr(g))
+            td.write_text(eio.format_td(min_fill_td(g), g.n))
+            tp.write_text(eio.format_tp(bfs_layer_tp(g), g.n))
             runs = {
                 "cycles v k=1": ["cycles", "-i", gr, "-k", "1"],
                 "cycles e k=3": ["cycles", "-i", gr, "-k", "3", "--mode", "e"],

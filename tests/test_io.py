@@ -36,7 +36,7 @@ def test_gr_errors():
 def test_gr_file_round_trip(tmp_path):
     g = gnp(7, 0.5, 3)
     path = tmp_path / "g.gr"
-    eio.write_gr(g, path)
+    path.write_text(eio.format_gr(g))
     assert eio.read_gr(path) == MultiGraph.from_edges(
         g.vertices, sorted(tuple(sorted(uv)) for uv in g.edges.values())
     )
@@ -77,18 +77,18 @@ def test_certificate_round_trip(tmp_path):
     w = PatternWitness(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
     p = PackingCertificate(Mode.VERTEX, (w,))
     path = tmp_path / "c.json"
-    eio.write_certificate(p, path, bound_claimed=1, hypotheses_held=True)
+    path.write_text(eio.format_certificate(p, 1, True))
     assert eio.read_certificate(path) == p
 
     c = CoverCertificate(Mode.EDGE, frozenset({4, 5}))
-    eio.write_certificate(c, path)
+    path.write_text(eio.format_certificate(c, None, None))
     assert eio.read_certificate(path) == c
 
 
 def test_gadget_meta_round_trip(tmp_path):
     gadget = thicken(MultiGraph.complete(4), 2)
     path = tmp_path / "g.meta"
-    eio.write_gadget_meta(gadget, path)
+    path.write_text(eio.format_gadget_meta(gadget))
     back = eio.read_gadget_meta(path)
     assert back.graph == gadget.graph
     assert back.labels == gadget.labels

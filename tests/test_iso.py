@@ -2,9 +2,10 @@ from hypothesis import example, given, settings
 
 from helpers import multigraphs, random_multigraph, ref_enumerate_copies
 
+from eppack.certificates import cycles_detector
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
-from eppack.iso import _plan, _vertex_maps, enumerate_copies, find_copy
+from eppack.iso import _plan, _vertex_maps, enumerate_copies, enumerate_cycles, find_copy
 from eppack.rng import SplitMix64
 
 # pattern -> |Aut(pattern)|; the two multigraph counts are by hand: a double
@@ -66,3 +67,10 @@ def test_each_copy_through_one_map(g):
         pattern = PATTERNS[name][0]
         maps = _vertex_maps(_plan(pattern)[0], g._adj, g.degrees(), sorted(g._adj))
         assert sum(1 for _ in maps) == len(enumerate_copies(g, pattern)), name
+
+
+def test_enumerate_cycles_on_a_long_cycle():
+    # the DFS keeps one step iterator per path vertex, not a frame
+    g = MultiGraph.cycle_graph(1500)
+    assert [c.vertices for c in enumerate_cycles(g)] == [tuple(range(1500))]
+    assert len(cycles_detector().enumerate(g)) == 1

@@ -23,6 +23,7 @@ from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
 from eppack.iso import enumerate_copies
 from eppack.oracles import (
+    _chordless_cycles,
     _core_rank,
     _pack_bound,
     _vcover_bound,
@@ -231,6 +232,15 @@ def test_multigraph_cycles():
     assert exact_epack_cycles(theta).value == 2
     assert exact_vpack_cycles(theta).value == 1
     assert exact_ecover_cycles(theta).value == 3
+
+
+def test_chordless_cycles_on_a_long_cycle():
+    # the DFS keeps one neighbour iterator per path vertex, not a frame
+    g = MultiGraph.cycle_graph(1500)
+    whole = tuple(range(1500))
+    assert [c.vertices for c in _chordless_cycles(g, 0)] == [whole]
+    assert [c.vertices for c in _chordless_cycles(g, 0, 1499)] == [whole]
+    assert exact_vpack_cycles(g).value == 1
 
 
 def test_subgraph_oracles_match_hitting():
