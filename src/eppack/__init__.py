@@ -17,7 +17,7 @@ from .certificates import (
     verify_cover,
     verify_packing,
 )
-from .cycles import classify, ep_cycles, reduce_low_degree, short_cycle_threshold
+from .cycles import ep_cycles, reduce_low_degree, short_cycle_threshold
 from .decomp import (
     Ceiling,
     NiceTreeDecomposition,
@@ -73,7 +73,6 @@ from .rng import SplitMix64
 from .treepart import (
     TreePartition,
     bfs_layer_tp,
-    delta_tilde_bound,
     inductive_edge_cover,
     tp_width,
     validate_tp,

@@ -216,12 +216,14 @@ class PatternDetector:
         return self._exact_vpack(g)
 
 
+def _cycle_witness(g):
+    """A shortest cycle, the witness of both cycles and theta_2."""
+    c = g.shortest_cycle()
+    return None if c is None else PatternWitness.from_cycle(c)
+
+
 def cycles_detector():
     """The family of graphs containing a cycle (theta_2 as a minor)."""
-
-    def find(g):
-        c = g.shortest_cycle()
-        return None if c is None else PatternWitness.from_cycle(c)
 
     def enumerate_witnesses(g):
         return [PatternWitness.from_cycle(c) for c in enumerate_cycles(g)]
@@ -233,7 +235,7 @@ def cycles_detector():
 
     return PatternDetector(
         "cycles",
-        find,
+        _cycle_witness,
         connected_patterns=True,
         delta_tilde_bound=2,
         enumerate_witnesses=enumerate_witnesses,
@@ -250,21 +252,17 @@ def theta_detector(t):
 
     A witness is two disjoint connected sets with >= t edges between them.
     A forest has none; other hosts are searched exactly up to
-    ENUMERATION_CAP vertex subsets.  t = 2 reduces to cycles.
+    ENUMERATION_CAP vertex subsets.  t = 2 is the cycles witness: a
+    shortest cycle is chordless, so it is its own theta_2 model.
     """
     if t < 2:
         raise InvalidParameter("theta detector needs t >= 2")
+    if t == 2:
+        return PatternDetector(
+            "theta_2", _cycle_witness, connected_patterns=True, delta_tilde_bound=2
+        )
 
     def find(g):
-        if t == 2:
-            c = g.shortest_cycle()
-            if c is None:
-                return None
-            a = frozenset([c.vertices[0]])
-            b = frozenset(c.vertices[1:])
-            cross = frozenset(c.edges[:1] + c.edges[-1:])
-            ew = _spanning_edges(g, b)
-            return PatternWitness(a | b, cross | frozenset(ew))
         if g.is_forest():
             return None  # a theta_t minor needs a cycle
         if 2 ** g.n > ENUMERATION_CAP:

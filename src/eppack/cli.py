@@ -358,11 +358,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EPError as exc:
+    except (EPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:  # the exact searches recurse once per level
+        print("error: search deeper than Python's recursion limit", file=sys.stderr)
         return EXIT_ERROR
 
 

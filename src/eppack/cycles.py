@@ -1,8 +1,9 @@
 """Constructive packing-or-covering for cycles.
 
-The driver alternates low-degree reduction with shortest-cycle harvesting.
-Each harvested cycle is expanded back through the reduction trace, so all
-certificates refer to the caller's graph.
+The driver alternates low-degree reduction with taking a shortest cycle of
+the reduced graph; a cycle longer than the threshold is recorded as a
+high-girth event.  Each harvested cycle is expanded back through the
+reduction trace, so all certificates refer to the caller's graph.
 """
 
 import heapq
@@ -20,58 +21,8 @@ from .errors import InvalidParameter, InvariantViolated
 from .graph import Cycle, Mode, MultiGraph
 
 
-# -- trichotomy classifier -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Forest:
-    pass
-
-
-@dataclass(frozen=True)
-class ShortCycle:
-    cycle: Cycle
-    length: int
-
-
-@dataclass(frozen=True)
-class LowDegreeVertex:
-    cycle: Cycle  # the shortest cycle, longer than the threshold
-    vertex: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class GirthCertificate:
-    cycle: Cycle  # a shortest cycle, of length girth
-    min_degree: int
-    girth: int
-    threshold: int
-
-
 def short_cycle_threshold(q, c):
     return math.ceil(c * math.log2(q))
-
-
-def classify(g, q, c):
-    """Forest / short cycle / low-degree vertex / high-girth certificate.
-
-    The cycle check runs before the degree check so that a parallel pair is
-    consumed as a 2-cycle rather than suppressed away.
-    """
-    if q < 2 or c <= 0:
-        raise InvalidParameter("classify needs q >= 2 and c > 0")
-    cyc = g.shortest_cycle()
-    if cyc is None:
-        return Forest()
-    threshold = short_cycle_threshold(q, c)
-    if len(cyc) <= threshold:
-        return ShortCycle(cyc, len(cyc))
-    degs = g.degrees()
-    low = [v for v in sorted(degs) if degs[v] <= 2]
-    if low:
-        return LowDegreeVertex(cyc, low[0], degs[low[0]])
-    return GirthCertificate(cyc, min(degs.values()), len(cyc), threshold)
 
 
 # -- low-degree reduction --------------------------------------------------------
@@ -195,12 +146,13 @@ def reduce_low_degree(g):
 def ep_cycles(g, k, mode, c=4.0):
     """Either k disjoint cycles or a cycle cover, with a quality report.
 
-    Each round harvests the cycle of ``classify(reduced, 3k, c)`` on the
-    reduced residue.  A cover round deletes that reduced cycle: its
-    vertices, or one original edge per reduced edge.  When every round's
-    cycle is a short cycle the cover obeys |cover| <= ceil(c*log2(3k)) * k;
-    otherwise each longer one is recorded as a high-girth event and only
-    the generic min-degree-3 bound is claimed.
+    Each round harvests a shortest cycle of the reduced residue, which has
+    no vertex of degree <= 1 and no suppressible degree-2 vertex.  A cover
+    round deletes that reduced cycle: its vertices, or one original edge per
+    reduced edge.  When no round's cycle is longer than ceil(c*log2(3k)) the
+    cover obeys |cover| <= ceil(c*log2(3k)) * k; otherwise each longer one
+    is recorded as a high-girth event and only the generic min-degree-3
+    bound is claimed.
     """
     if k < 1 or c <= 0:
         raise InvalidParameter("ep_cycles needs k >= 1 and c > 0")
@@ -211,11 +163,10 @@ def ep_cycles(g, k, mode, c=4.0):
     residue = g
     while True:
         reduced, trace = reduce_low_degree(residue)
-        verdict = classify(reduced, 3 * k, c)
-        if isinstance(verdict, Forest):
+        cyc = reduced.shortest_cycle()
+        if cyc is None:
             break
-        cyc = verdict.cycle
-        if not isinstance(verdict, ShortCycle):
+        if len(cyc) > threshold:
             events.append(
                 ("high-girth", {"girth": len(cyc), "threshold": threshold})
             )

@@ -63,17 +63,6 @@ def tp_width(g, tp):
     return max(vals, default=0)
 
 
-def delta_tilde_bound(relation, h):
-    """Worst-case minimal-witness max degree for the three containments."""
-    if h < 1:
-        raise InvalidParameter("h must be at least 1")
-    if relation in ("minor", "topological-minor"):
-        return h
-    if relation == "immersion":
-        return 2 * h
-    raise InvalidParameter(f"unknown relation {relation!r}")
-
-
 def bfs_layer_tp(g):
     """Heuristic partition: BFS layers per component, chained into one tree."""
     if not g.vertices:

@@ -625,6 +625,20 @@ def ref_exact_vpack_cycles(g):
 # connected detector with a degree bound.
 
 
+def ref_theta2_find(g):
+    """``theta_detector(2).find`` as it was: a shortest cycle split into its
+    first vertex and the rest, with the two edges between them and the
+    spanning edges of the rest."""
+    c = g.shortest_cycle()
+    if c is None:
+        return None
+    a = frozenset([c.vertices[0]])
+    b = frozenset(c.vertices[1:])
+    cross = frozenset(c.edges[:1] + c.edges[-1:])
+    ew = set(g.induced(b).spanning_forest_edges())
+    return PatternWitness(a | b, cross | frozenset(ew))
+
+
 def ref_inductive_edge_cover(g, tp, det, k):
     r = tp_width(g, tp)
     d = det.delta_tilde_bound

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import multigraphs
+from helpers import multigraphs, random_multigraph, ref_theta2_find
 
 from eppack.certificates import (
     CoverCertificate,
@@ -24,6 +24,7 @@ from eppack.errors import BudgetExceeded, InvalidParameter
 from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
 from eppack.oracles import exact_vcover_cycles
+from eppack.rng import SplitMix64
 
 
 def test_witness_subgraph_and_elements():
@@ -106,6 +107,24 @@ def test_theta_detector_small_t():
         theta_detector(1)
 
 
+@settings(max_examples=200)
+@given(multigraphs())
+def test_theta2_witness_is_the_old_one(g):
+    assert theta_detector(2).find(g) == ref_theta2_find(g)
+
+
+def test_theta2_witness_is_the_old_one_on_fixed_seeds():
+    # a shortest cycle is chordless, so the old split gave back its edges
+    find = theta_detector(2).find
+    rng = SplitMix64(20)
+    for _ in range(300):
+        g = random_multigraph(rng)
+        assert find(g) == ref_theta2_find(g)
+    for seed in range(60):
+        g = gnp(30, (1 + seed % 6) / 30, seed)
+        assert find(g) == ref_theta2_find(g)
+
+
 def test_theta_budget():
     # 2^18 vertex subsets are more than ENUMERATION_CAP
     det = theta_detector(3)
@@ -173,6 +192,14 @@ def test_verify_packing_catches_stray_ids():
     det = triangles_detector()
     w = PatternWitness(frozenset({0, 1, 99}), frozenset())
     assert not verify_packing(g, det, PackingCertificate(Mode.VERTEX, (w,)))
+
+
+def test_verify_packing_catches_an_edge_without_its_endpoint():
+    g = MultiGraph.complete(3)
+    eid = next(e for e, uv in g.edges.items() if set(uv) == {1, 2})
+    w = PatternWitness(frozenset({0, 1}), frozenset({eid}))
+    check = verify_packing(g, cycles_detector(), PackingCertificate(Mode.VERTEX, (w,)))
+    assert check.violations == [("member-edge-endpoint-missing", 0, eid)]
 
 
 def test_verify_cover():

@@ -75,6 +75,35 @@ def test_oracle_vpack_on_a_long_cycle(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_oracle_cover_sub(tmp_path, capsys):
+    # two disjoint edges meet all four triangles of K4, and no one edge does
+    host = tmp_path / "k4.gr"
+    host.write_text(eio.format_gr(MultiGraph.complete(4)))
+    assert main(["oracle", "cover-sub", "-i", str(host), "--mode", "e"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+def test_search_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    # one search level per triangle; the limit is lowered to 150 frames
+    # above this one, so that a small host is deep enough
+    host = tmp_path / "triangles.gr"
+    n = 300
+    edges = [(3 * i + a, 3 * i + b) for i in range(n) for a, b in ((0, 1), (1, 2), (0, 2))]
+    host.write_text(eio.format_gr(MultiGraph.from_edges(range(3 * n), edges)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        for which in ("vpack-cycles", "vcover-cycles"):
+            assert main(["oracle", which, "-i", str(host)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "recursion limit" in captured.err
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_trees_gallai_and_select(tmp_path, capsys):
     from eppack.gen import random_subtree_family
     from eppack.trees import SubtreeFamily, gallai, rs_selection
@@ -146,6 +175,22 @@ def test_decomp_actions(tmp_path, host_file, capsys):
         ["decomp", "disconnected", "-i", host_file, "-t", str(tdpath), "-k", "1"]
     )
     assert code in (0, 10)
+
+
+def test_decomp_needs_what_the_family_offers(tmp_path, capsys):
+    # triangles have no exact packer, and theta_3 cannot enumerate its copies
+    host, td = tmp_path / "k4.gr", tmp_path / "k4.td"
+    g = MultiGraph.complete(4)
+    host.write_text(eio.format_gr(g))
+    td.write_text(eio.format_td(min_fill_td(g), g.n))
+    for action, family, message in [
+        ("separate", "triangles", "no exact packer"),
+        ("cover", "triangles", "no exact packer"),
+        ("disconnected", "theta_3", "cannot enumerate"),
+    ]:
+        argv = ["decomp", action, "-i", str(host), "-t", str(td), "--patterns", family]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_decomp_invalid_td(tmp_path, host_file, capsys):

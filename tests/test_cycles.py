@@ -5,16 +5,7 @@ import pytest
 from helpers import replay
 
 from eppack.certificates import cycles_detector, verify_cover, verify_packing
-from eppack.cycles import (
-    Forest,
-    GirthCertificate,
-    LowDegreeVertex,
-    ShortCycle,
-    classify,
-    ep_cycles,
-    reduce_low_degree,
-    short_cycle_threshold,
-)
+from eppack.cycles import ep_cycles, reduce_low_degree, short_cycle_threshold
 from eppack.errors import InvalidParameter
 from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
@@ -23,27 +14,6 @@ from eppack.graph import Mode, MultiGraph
 def test_threshold():
     assert short_cycle_threshold(3, 4.0) == math.ceil(4.0 * math.log2(3))
     assert short_cycle_threshold(2, 1.0) == 1
-
-
-def test_classify_trichotomy():
-    assert isinstance(classify(MultiGraph.path_graph(4), 3, 4.0), Forest)
-    got = classify(MultiGraph.complete(4), 3, 4.0)
-    assert isinstance(got, ShortCycle) and got.length == 3
-    # big cycle, low degree everywhere: threshold too small for the cycle
-    got = classify(MultiGraph.cycle_graph(50), 3, 1.0)
-    assert isinstance(got, LowDegreeVertex)
-    # Petersen with c tiny: min degree 3, girth 5 above threshold
-    got = classify(MultiGraph.petersen(), 3, 0.5)
-    assert isinstance(got, GirthCertificate)
-    assert got.min_degree == 3 and got.girth == 5
-    with pytest.raises(InvalidParameter):
-        classify(MultiGraph.complete(3), 1, 4.0)
-
-
-def test_classify_prefers_parallel_pair_over_suppression():
-    g = MultiGraph.from_edges(range(3), [(0, 1), (1, 2), (1, 2)])
-    got = classify(g, 3, 4.0)
-    assert isinstance(got, ShortCycle) and got.length == 2
 
 
 def test_reduce_keeps_parallel_pair_vertices():

@@ -13,13 +13,12 @@ from eppack.certificates import (
     verify_cover,
     verify_packing,
 )
-from eppack.errors import InvalidParameter, InvalidPartition
+from eppack.errors import InvalidPartition
 from eppack.gen import gnp
 from eppack.graph import MultiGraph
 from eppack.treepart import (
     TreePartition,
     bfs_layer_tp,
-    delta_tilde_bound,
     inductive_edge_cover,
     tp_width,
     validate_tp,
@@ -98,16 +97,6 @@ def test_width_monotone_under_edge_addition():
         C9.vertices, {**C9.edges, C9.next_edge_id(): (0, 2)}
     )
     assert tp_width(more, tp) >= base
-
-
-def test_delta_tilde_bound():
-    assert delta_tilde_bound("minor", 5) == 5
-    assert delta_tilde_bound("topological-minor", 1) == 1
-    assert delta_tilde_bound("immersion", 5) == 10
-    with pytest.raises(InvalidParameter):
-        delta_tilde_bound("minor", 0)
-    with pytest.raises(InvalidParameter):
-        delta_tilde_bound("homomorphism", 3)
 
 
 def test_bfs_layer_tp_valid():
