@@ -361,9 +361,6 @@ def main(argv=None):
     except (EPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except RecursionError:  # the exact searches recurse once per level
-        print("error: search deeper than Python's recursion limit", file=sys.stderr)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -179,6 +179,7 @@ def exact_elimination_td(g):
     lower = [0] * (1 << n)  # a lower bound on cost[s] otherwise
     choice = [0] * (1 << n)  # the bit of the chosen i
 
+    # recursive: each call drops one bit of s, so the depth is at most n <= 15
     def solve(s, limit):  # the caller has looked up exact[s] and lower[s]
         comps = []
         low = n
@@ -222,6 +223,7 @@ def exact_elimination_td(g):
         return low
 
     solve((1 << n) - 1, n + 1)
+    solve = None  # solve's cell refers to it: free the 2^n lists without the cyclic GC
     order = []
     mask = (1 << n) - 1
     while mask:
@@ -444,6 +446,8 @@ def cover_connected_bounded_tw(g, det, ceiling, td):
             packs[h.vertices] = det.exact_vpack(h)
         return packs[h.vertices]
 
+    # recursive: each side of a separation keeps at most 2/3 of h's packing
+    # number, so the depth is logarithmic in it
     def rec(h, td_h):
         if det.find(h) is None:
             return set()

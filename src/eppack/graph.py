@@ -56,6 +56,20 @@ def _cycle_along(adj, path):
     return Cycle(tuple(path), tuple(adj[a][b][0] for a, b in steps))
 
 
+def _peel(adj, deg, low):
+    """Delete the vertices ``low`` from the degree table ``deg``, in place,
+    and then every vertex that falls below degree 2."""
+    while low:
+        v = low.pop()
+        del deg[v]
+        for u, ids in adj[v].items():
+            if u in deg:
+                d = deg[u]
+                deg[u] = d - len(ids)
+                if d >= 2 > deg[u]:  # not yet queued
+                    low.append(u)
+
+
 class MultiGraph:
     """Immutable loopless multigraph; operations return new graphs.
 
@@ -277,15 +291,7 @@ class MultiGraph:
         isolated vertex a vertex and a component): only forests peel away.
         """
         deg = self.degrees()
-        low = [v for v, d in deg.items() if d < 2]
-        while low:
-            v = low.pop()
-            del deg[v]
-            for u in self._adj[v]:
-                if u in deg:  # v's one remaining edge, if it has one
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        low.append(u)
+        _peel(self._adj, deg, [v for v, d in deg.items() if d < 2])
         return deg
 
     def rooted(self, root):

@@ -6,7 +6,7 @@ from itertools import product
 from operator import and_
 
 from .errors import BudgetExceeded
-from .graph import Cycle
+from .graph import Cycle, _peel
 
 # The most copies, cycles or connected subsets one enumeration may produce,
 # and the most vertex subsets an exhaustive theta search may scan.
@@ -134,16 +134,21 @@ def enumerate_cycles(g):
                 for b in range(a + 1, len(ids)):
                     push(Cycle((u, v), (ids[a], ids[b])))
 
-    def steps(v, s):  # the (neighbour, edge id) pairs from v to vertices >= s
-        return ((u, e) for u in g.neighbors(v) if u >= s for e in g.edges_between(v, u))
+    # the 2-core of g less the roots done so far: it holds every cycle left
+    deg = g.core_degrees()
+
+    def steps(v):  # the (neighbour, edge id) pairs from v into that core
+        return ((u, e) for u in g.neighbors(v) if u in deg for e in g.edges_between(v, u))
 
     # simple cycles of length >= 3: root at the smallest vertex of the cycle,
     # a DFS with one iterator of steps per path vertex
     for s in verts:
+        if s not in deg:
+            continue
         path = [s]
         on_path = {s}
         path_edges = []
-        stack = [steps(s, s)]
+        stack = [steps(s)]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -164,7 +169,8 @@ def enumerate_cycles(g):
             path.append(u)
             on_path.add(u)
             path_edges.append(eid)
-            stack.append(steps(u, s))
+            stack.append(steps(u))
+        _peel(g._adj, deg, [s])  # every cycle through s is out
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
 
 

@@ -28,24 +28,39 @@ def default_budget():
         raise InvalidParameter(f"EP_BUDGET must be an integer, got {text!r}") from None
 
 
-class NodeCounter:
-    """Search nodes of one exact search, capped by the EP_BUDGET setting."""
-
-    def __init__(self):
-        self.cap = default_budget()
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise BudgetExceeded(f"search exceeded {self.cap} nodes")
-
-
 @dataclass(frozen=True)
 class ExactResult:
     value: int
     witness: object
     explored: int
+
+
+@dataclass(frozen=True)
+class Found:  # a child that ends a _search with its value
+    value: object
+
+
+def _search(roots, expand):
+    """Depth-first search from ``roots`` on a stack of child iterators, so
+    its depth is not bounded by Python's recursion limit.  ``expand(*node)``
+    yields a node's children lazily, each once its elder sibling's subtree
+    is done.  Returns (the first Found child's value or None, nodes
+    expanded); past EP_BUDGET nodes it raises BudgetExceeded."""
+    cap = default_budget()
+    nodes = 0
+    stack = [iter(roots)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif isinstance(child, Found):
+            return child.value, nodes
+        else:
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceeded(f"search exceeded {cap} nodes")
+            stack.append(expand(*child))
+    return None, nodes
 
 
 # -- cycle helpers ------------------------------------------------------------
@@ -140,11 +155,9 @@ def _pack_bound(h, deg, mode, shortest=None):
 
 def exact_vpack_cycles(g):
     """Maximum number of vertex-disjoint cycles, with witness."""
-    counter = NodeCounter()
     best = [0, []]
 
-    def rec(h, acc, members):
-        counter.tick()
+    def expand(h, acc, members):
         deg = h.core_degrees()
         if acc + _pack_bound(h, deg, Mode.VERTEX) <= best[0]:
             return
@@ -159,14 +172,14 @@ def exact_vpack_cycles(g):
             if len(ids) > 1
         ]
         for p in two_cycles + _chordless_cycles(h, v):
-            rec(h.delete_vertices(p.vertex_set), acc + 1, members + [p])
-        rec(h.delete_vertices({v}), acc, members)
+            yield h.delete_vertices(p.vertex_set), acc + 1, members + [p]
+        yield h.delete_vertices({v}), acc, members
 
-    rec(g, 0, [])
+    _, nodes = _search([(g, 0, [])], expand)
     witness = PackingCertificate(
         Mode.VERTEX, tuple(PatternWitness.from_cycle(c) for c in best[1])
     )
-    return ExactResult(best[0], witness, counter.nodes)
+    return ExactResult(best[0], witness, nodes)
 
 
 def _vcover_bound(h, deg):
@@ -189,33 +202,26 @@ def exact_vcover_cycles(g):
     exceeds the size left: neither can succeed, so the first cover found
     stays the same.
     """
-    counter = NodeCounter()
-
-    def attempt(h, size_left, chosen):
-        counter.tick()
+    def expand(h, size_left, chosen):
         deg = h.core_degrees()
         if _vcover_bound(h, deg) > size_left:
-            return None
+            return
         if not deg:
-            return chosen  # a forest
+            yield Found(chosen)  # a forest
+            return
         c = h._shortest_cycle(deg)
         for v in sorted(c.vertex_set):
-            got = attempt(h.delete_vertices({v}), size_left - 1, chosen + [v])
-            if got is not None:
-                return got
-        return None
+            yield h.delete_vertices({v}), size_left - 1, chosen + [v]
 
-    for size in range(_vcover_bound(g, g.core_degrees()), g.n + 1):
-        got = attempt(g, size, [])
-        if got is not None:
-            witness = CoverCertificate(Mode.VERTEX, frozenset(got))
-            return ExactResult(len(got), witness, counter.nodes)
-    raise InvariantViolated("unreachable: deleting all vertices leaves a forest")
+    sizes = range(_vcover_bound(g, g.core_degrees()), g.n + 1)
+    got, nodes = _search([(g, size, []) for size in sizes], expand)
+    if got is None:
+        raise InvariantViolated("unreachable: deleting all vertices leaves a forest")
+    return ExactResult(len(got), CoverCertificate(Mode.VERTEX, frozenset(got)), nodes)
 
 
 def exact_epack_cycles(g):
     """Maximum number of edge-disjoint cycles, with witness."""
-    counter = NodeCounter()
     # greedy shortest-cycle packing seeds the incumbent so pruning bites
     # from the first branch
     residue, seed = g, []
@@ -224,8 +230,7 @@ def exact_epack_cycles(g):
         residue = residue.delete_edges(c.edge_set)
     best = [len(seed), seed]
 
-    def rec(h, acc, members):
-        counter.tick()
+    def expand(h, acc, members):
         deg = h.core_degrees()
         if acc + _pack_bound(h, deg, Mode.EDGE) <= best[0]:
             return
@@ -253,14 +258,14 @@ def exact_epack_cycles(g):
                 key=lambda p: (len(p), p.vertices, p.edges),
             )
         for p in branches:
-            rec(h.delete_edges(p.edge_set), acc + 1, members + [p])
-        rec(h.delete_edges({eid}), acc, members)
+            yield h.delete_edges(p.edge_set), acc + 1, members + [p]
+        yield h.delete_edges({eid}), acc, members
 
-    rec(g, 0, [])
+    _, nodes = _search([(g, 0, [])], expand)
     witness = PackingCertificate(
         Mode.EDGE, tuple(PatternWitness.from_cycle(c) for c in best[1])
     )
-    return ExactResult(best[0], witness, counter.nodes)
+    return ExactResult(best[0], witness, nodes)
 
 
 def exact_ecover_cycles(g):
@@ -304,7 +309,6 @@ def exact_pack_subgraph(g, pattern, mode):
     Branches on a least-covered element: either some member contains it
     (one branch per candidate copy) or no member does.
     """
-    counter = NodeCounter()
     copies = _copies_with_elements(g, pattern, mode)
     per_copy = len(pattern.vertices) if mode is Mode.VERTEX else pattern.m
     if mode is Mode.EDGE and per_copy == 0:
@@ -312,8 +316,7 @@ def exact_pack_subgraph(g, pattern, mode):
     seed = [copies[i][0] for i in _greedy_disjoint([elems for _, elems in copies])]
     best = [len(seed), seed]
 
-    def rec(available, acc, members):
-        counter.tick()
+    def expand(available, acc, members):
         if acc > best[0]:
             best[0], best[1] = acc, list(members)
         if not available:
@@ -329,44 +332,34 @@ def exact_pack_subgraph(g, pattern, mode):
         for w, elems in available:
             if e not in elems:
                 continue
-            rest = [c for c in available if not (c[1] & elems)]
-            rec(rest, acc + 1, members + [w])
-        rec([c for c in available if e not in c[1]], acc, members)
+            yield [c for c in available if not (c[1] & elems)], acc + 1, members + [w]
+        yield [c for c in available if e not in c[1]], acc, members
 
-    rec(copies, 0, [])
-    return ExactResult(
-        best[0], PackingCertificate(mode, tuple(best[1])), counter.nodes
-    )
+    _, nodes = _search([(copies, 0, [])], expand)
+    return ExactResult(best[0], PackingCertificate(mode, tuple(best[1])), nodes)
 
 
 def exact_cover_subgraph(g, pattern, mode):
     """Minimum A_x hitting set destroying all copies of a fixed pattern."""
-    counter = NodeCounter()
     copies = _copies_with_elements(g, pattern, mode)
     # every copy has pattern.n vertices and pattern.m edges: no set holds another
     elem_sets = sorted(set(elems for _, elems in copies), key=sorted)
 
-    def attempt(sets, size_left, hit):
-        counter.tick()
+    def expand(sets, size_left, hit):
         if not sets:
-            return hit
+            yield Found(hit)
+            return
         if len(_greedy_disjoint(sets)) > size_left:
-            return None
+            return
         target = min(sets, key=lambda s: (len(s), sorted(s)))
         for x in sorted(target):
-            rest = [s for s in sets if x not in s]
-            got = attempt(rest, size_left - 1, hit | {x})
-            if got is not None:
-                return got
-        return None
+            yield [s for s in sets if x not in s], size_left - 1, hit | {x}
 
-    for size in range(len(_greedy_disjoint(elem_sets)), len(g.elements(mode)) + 1):
-        got = attempt(elem_sets, size, frozenset())
-        if got is not None:
-            return ExactResult(
-                len(got), CoverCertificate(mode, frozenset(got)), counter.nodes
-            )
-    raise InvariantViolated("unreachable: hitting every copy eventually succeeds")
+    sizes = range(len(_greedy_disjoint(elem_sets)), len(g.elements(mode)) + 1)
+    got, nodes = _search([(elem_sets, size, frozenset()) for size in sizes], expand)
+    if got is None:
+        raise InvariantViolated("unreachable: hitting every copy eventually succeeds")
+    return ExactResult(len(got), CoverCertificate(mode, got), nodes)
 
 
 # -- greedy subgraph duality ---------------------------------------------------

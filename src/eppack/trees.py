@@ -15,7 +15,7 @@ from .certificates import (
 )
 from .errors import InvalidFamily, InvalidParameter
 from .graph import Mode
-from .oracles import NodeCounter
+from .oracles import Found, _search
 
 
 @dataclass(frozen=True)
@@ -107,26 +107,16 @@ def rs_selection(tree, family_members, k):
         raise InvalidParameter("rs_selection needs k >= 1 and q >= 1")
     fams = [sorted(map(frozenset, members), key=sorted) for members in family_members]
     q = len(fams)
-    slots = [(i, j) for i in range(q) for j in range(k)]
-    picked = [[] for _ in range(q)]
-    counter = NodeCounter()
 
-    def rec(s, used):
-        counter.tick()
-        if s == len(slots):
-            return True
-        i, j = slots[s]
-        start = fams[i].index(picked[i][-1]) + 1 if j > 0 else 0
-        for idx in range(start, len(fams[i])):
-            mem = fams[i][idx]
-            if mem & used:
-                continue
-            picked[i].append(mem)
-            if rec(s + 1, used | mem):
-                return True
-            picked[i].pop()
-        return False
+    def expand(slot, used, picked):  # slot i * k + j holds family i's j-th pick
+        if slot == q * k:
+            yield Found(picked)
+            return
+        i, j = divmod(slot, k)
+        start = fams[i].index(picked[-1]) + 1 if j > 0 else 0
+        for mem in fams[i][start:]:
+            if not mem & used:
+                yield slot + 1, used | mem, picked + [mem]
 
-    if rec(0, frozenset()):
-        return [list(p) for p in picked]
-    return None
+    picked, _ = _search([(0, frozenset(), [])], expand)
+    return None if picked is None else [picked[i * k:(i + 1) * k] for i in range(q)]

@@ -788,3 +788,60 @@ def ref_enumerate_copies(host, pattern, first_only=False):
                     f"more than {ENUMERATION_CAP} copies of pattern in host"
                 )
     return sorted(copies, key=lambda c: (sorted(c[0]), sorted(c[1])))
+
+
+# -- reference cycle enumerator ------------------------------------------------
+#
+# enumerate_cycles as it was before it walked the 2-core: the DFS from each
+# root s steps to every vertex >= s, so a long path is walked once per root.
+# The package must return the same list.
+
+
+def ref_enumerate_cycles(g):
+    out = []
+
+    def push(cycle):
+        out.append(cycle)
+        if len(out) > ENUMERATION_CAP:
+            raise BudgetExceeded(f"more than {ENUMERATION_CAP} cycles in host")
+
+    verts = sorted(g.vertices)
+    for u in verts:
+        for v in g.neighbors(u):
+            if v < u:
+                continue
+            ids = g.edges_between(u, v)
+            for a in range(len(ids)):
+                for b in range(a + 1, len(ids)):
+                    push(Cycle((u, v), (ids[a], ids[b])))
+
+    def steps(v, s):  # the (neighbour, edge id) pairs from v to vertices >= s
+        return ((u, e) for u in g.neighbors(v) if u >= s for e in g.edges_between(v, u))
+
+    for s in verts:
+        path = [s]
+        on_path = {s}
+        path_edges = []
+        stack = [steps(s, s)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path_edges:
+                    on_path.discard(path.pop())
+                    path_edges.pop()
+                continue
+            u, eid = step
+            if path_edges and eid == path_edges[-1]:
+                continue
+            if u == s:
+                if len(path) >= 3 and path[1] < path[-1]:
+                    push(Cycle(tuple(path), tuple(path_edges + [eid])))
+                continue
+            if u in on_path:
+                continue
+            path.append(u)
+            on_path.add(u)
+            path_edges.append(eid)
+            stack.append(steps(u, s))
+    return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))

@@ -32,12 +32,19 @@ from eppack.cycles import DeleteVertex, ep_cycles, reduce_low_degree
 from eppack.decomp import exact_elimination_td, min_fill_td, to_nice
 from eppack.gen import gnp, random_subtree_family
 from eppack.graph import Mode, MultiGraph
-from eppack.oracles import exact_epack_cycles, exact_vcover_cycles, exact_vpack_cycles
+from eppack.oracles import (
+    exact_cover_subgraph,
+    exact_epack_cycles,
+    exact_pack_subgraph,
+    exact_vcover_cycles,
+    exact_vpack_cycles,
+)
 from eppack.rng import SplitMix64
 from eppack.treepart import bfs_layer_tp
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cycles.json"
 FORMATS_GOLDEN = Path(__file__).parent / "data" / "golden_formats.json"
+K3 = MultiGraph.complete(3)
 
 
 def _gnp_hosts():
@@ -120,6 +127,10 @@ def oracles_section():
                              ("epack", exact_epack_cycles)):
             res = oracle(g)
             row[name] = [res.value, res.explored]
+        for name, oracle in (("tpack", exact_pack_subgraph), ("tcover", exact_cover_subgraph)):
+            for mode in Mode:
+                res = oracle(g, K3, mode)
+                row[f"{name} {mode.value}"] = [res.value, res.explored]
         out[f"gnp({n},{p:.3f},{seed})"] = row
     return out
 

@@ -1,6 +1,6 @@
 from hypothesis import example, given, settings
 
-from helpers import multigraphs, random_multigraph, ref_enumerate_copies
+from helpers import multigraphs, random_multigraph, ref_enumerate_copies, ref_enumerate_cycles
 
 from eppack.certificates import cycles_detector
 from eppack.gen import gnp
@@ -67,6 +67,26 @@ def test_each_copy_through_one_map(g):
         pattern = PATTERNS[name][0]
         maps = _vertex_maps(_plan(pattern)[0], g._adj, g.degrees(), sorted(g._adj))
         assert sum(1 for _ in maps) == len(enumerate_copies(g, pattern)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=9, max_pairs=14))
+def test_cycles_match_reference(g):
+    # the DFS confined to the 2-core left by the earlier roots finds the same
+    # cycles as the one that walks every vertex above the root
+    assert enumerate_cycles(g) == ref_enumerate_cycles(g)
+
+
+def test_cycles_match_reference_on_fixed_seeds():
+    for seed in range(30):
+        g = gnp(6 + seed % 5, 0.3 + 0.01 * seed, seed)
+        assert enumerate_cycles(g) == ref_enumerate_cycles(g)
+    rng = SplitMix64(1208)
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=9, max_m=16)
+        assert enumerate_cycles(g) == ref_enumerate_cycles(g)
+    for g in (MultiGraph.petersen(), MultiGraph.complete(6), MultiGraph.theta(4)):
+        assert enumerate_cycles(g) == ref_enumerate_cycles(g)
 
 
 def test_enumerate_cycles_on_a_long_cycle():

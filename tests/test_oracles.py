@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,7 @@ from eppack.oracles import (
     greedy_subgraph_ep,
 )
 from eppack.rng import SplitMix64
+from eppack.trees import rs_selection
 
 K3 = MultiGraph.complete(3)
 
@@ -262,6 +264,54 @@ def test_budget_raises(monkeypatch):
     g = gnp(14, 0.5, 1)
     with pytest.raises(BudgetExceeded):
         exact_vpack_cycles(g)
+
+
+BUDGET_HOST = gnp(10, 0.466, 13)
+# one family per width w of the w-vertex subpaths of an 8-vertex path: two
+# disjoint members of each would need 12 vertices, so the search fails only
+# after visiting every node
+SUBPATHS = [[frozenset(range(a, a + w)) for a in range(9 - w)] for w in (1, 2, 3)]
+# each search with the node count that its visit order fixes
+SEARCH_NODES = {
+    "vpack": (lambda: exact_vpack_cycles(BUDGET_HOST), 22),
+    "vcover": (lambda: exact_vcover_cycles(BUDGET_HOST), 20),
+    "epack": (lambda: exact_epack_cycles(BUDGET_HOST), 34),
+    "tpack": (lambda: exact_pack_subgraph(BUDGET_HOST, K3, Mode.EDGE), 42),
+    "tcover": (lambda: exact_cover_subgraph(BUDGET_HOST, K3, Mode.EDGE), 190),
+    "rs_selection": (lambda: rs_selection(MultiGraph.path_graph(8), SUBPATHS, 2), 232),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCH_NODES))
+def test_budget_caps_the_node_count(monkeypatch, search):
+    run, nodes = SEARCH_NODES[search]
+    monkeypatch.setenv("EP_BUDGET", str(nodes))
+    run()
+    monkeypatch.setenv("EP_BUDGET", str(nodes - 1))
+    with pytest.raises(BudgetExceeded):
+        run()
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    # one search level per triangle or pick; the limit is lowered to 150
+    # frames above this one, below the searches' depth of 300
+    n = 300
+    edges = [(3 * i + a, 3 * i + b) for i in range(n) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = MultiGraph.from_edges(range(3 * n), edges)
+    singletons = [frozenset({v}) for v in range(400)]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        assert exact_vpack_cycles(g).value == n
+        assert exact_vcover_cycles(g).value == n
+        assert exact_cover_subgraph(g, K3, Mode.VERTEX).value == n
+        got = rs_selection(MultiGraph.path_graph(400), [singletons], n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [singletons[:n]]
 
 
 def test_env_budget(monkeypatch):
