@@ -1,14 +1,15 @@
 """Constructive packing-or-covering for cycles.
 
-The driver alternates low-degree reduction with taking a shortest cycle of
-the reduced graph; a cycle longer than the threshold is recorded as a
-high-girth event.  Each harvested cycle is expanded back through the
+``ep_cycles`` reduces the caller's graph once, then alternates taking a
+shortest cycle of the reduced graph with deleting it and reducing again
+around the deletion only; a cycle longer than the threshold is recorded as a
+high-girth event.  Each harvested cycle is expanded back through one growing
 reduction trace, so all certificates refer to the caller's graph.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .certificates import (
     CoverCertificate,
@@ -44,9 +45,21 @@ class Suppress:
     z: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReductionTrace:
+    """The events of one or more reductions, in order, and the suppression
+    that made each replacement edge; ``extend`` appends a later reduction's."""
+
     events: tuple
+    made_by: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        events, self.events, self.made_by = self.events, (), {}
+        self.extend(events)
+
+    def extend(self, events):
+        self.events += events
+        self.made_by.update((ev.replacement, ev) for ev in events if isinstance(ev, Suppress))
 
     def original_edges(self, cycle):
         """One original edge per edge of a reduced cycle.
@@ -54,37 +67,35 @@ class ReductionTrace:
         A replacement edge stands for its ``edge_a``, followed back through
         earlier suppressions to an edge of the original graph.
         """
-        source = {
-            ev.replacement: ev.edge_a for ev in self.events if isinstance(ev, Suppress)
-        }
         taken = set()
         for eid in cycle.edges:
-            while eid in source:
-                eid = source[eid]
+            while eid in self.made_by:
+                eid = self.made_by[eid].edge_a
             taken.add(eid)
         return frozenset(taken)
 
     def expand_cycle(self, cycle):
         """Map a cycle of the reduced graph to a cycle of the original."""
-        verts = list(cycle.vertices)
-        eids = list(cycle.edges)
-        for ev in reversed(self.events):
-            if not isinstance(ev, Suppress) or ev.replacement not in eids:
-                continue
-            i = eids.index(ev.replacement)
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            # splice x - edge_a - vertex - edge_b - z in the right direction
-            if (a, b) == (ev.x, ev.z):
-                eids[i : i + 1] = [ev.edge_a, ev.edge_b]
+        vs = cycle.vertices
+        stack = [(vs[i], eid, vs[(i + 1) % len(vs)]) for i, eid in enumerate(cycle.edges)]
+        stack.reverse()
+        verts, eids = [], []
+        while stack:  # each step: a - eid - b, with a first on the cycle
+            a, eid, b = stack.pop()
+            ev = self.made_by.get(eid)
+            if ev is None:
+                verts.append(a)
+                eids.append(eid)
+            elif (a, b) == (ev.x, ev.z):  # x - edge_a - vertex - edge_b - z
+                stack += [(ev.vertex, ev.edge_b, b), (a, ev.edge_a, ev.vertex)]
             elif (a, b) == (ev.z, ev.x):
-                eids[i : i + 1] = [ev.edge_b, ev.edge_a]
+                stack += [(ev.vertex, ev.edge_a, b), (a, ev.edge_b, ev.vertex)]
             else:
                 raise InvariantViolated("trace replay mismatch")
-            verts.insert(i + 1, ev.vertex)
         return Cycle(tuple(verts), tuple(eids))
 
 
-def reduce_low_degree(g):
+def reduce_low_degree(g, *, seeds=None, next_eid=None):
     """Strip degree <= 1 vertices and suppress two-neighbor degree-2 vertices.
 
     Degree-2 vertices whose both edges go to the same neighbor carry a
@@ -92,29 +103,38 @@ def reduce_low_degree(g):
 
     Order contract: each step acts on the smallest-id vertex that qualifies
     in the current graph, deleting it (degree <= 1) or suppressing it into a
-    fresh edge (ids from ``g.next_edge_id()`` upward, in step order).  The
-    trace and the reduced graph, including its edge order, depend on this.
+    fresh edge (ids from ``next_eid``, default ``g.next_edge_id()``, upward
+    in step order).  The trace and the reduced graph, including its edge
+    order, depend on this.  Only ``seeds`` (default: all) may qualify at the
+    start: in a fully reduced graph less some vertices or edges, seeding
+    with their neighbours gives the full call's result.
 
-    One pass over copies of g's rows with a heap of candidate vertices; only
-    the neighbours of the vertex just removed are re-examined, so the cost is
-    O((n + m) log n), and the working rows become the result's.
+    One pass with a heap of candidate vertices; only the neighbours of the
+    vertex just removed are re-examined, so the cost is O((n + m) log n).
+    Rows are copied when first changed, and shared with g otherwise.
     """
+    parent = g._adj
+    adj = dict(parent)
     ends = dict(g.edges)  # working edge table; keeps g's edge order
-    adj = {v: dict(row) for v, row in g._adj.items()}  # id lists stay shared
-    deg = g.degrees()
 
-    def qualifies(v):
-        return deg[v] <= 1 or (deg[v] == 2 and len(adj[v]) == 2)
+    def qualifies(v):  # degree <= 1, or degree 2 on two neighbours
+        row = adj[v]
+        return len(row) <= 2 and sum(map(len, row.values())) <= max(len(row), 1)
 
-    heap = sorted(v for v in adj if qualifies(v))
+    def own(u):
+        row = adj[u]
+        if row is parent[u]:
+            row = adj[u] = dict(row)
+        return row
+
+    heap = sorted(v for v in (adj if seeds is None else seeds) if v in adj and qualifies(v))
     events = []
-    next_eid = g.next_edge_id()
+    next_eid = g.next_edge_id() if next_eid is None else next_eid
     while heap:
         v = heapq.heappop(heap)
         if v not in adj or not qualifies(v):
             continue  # stale entry
         nbrs = adj.pop(v)
-        del deg[v]
         incident = sorted(e for ids in nbrs.values() for e in ids)
         for e in incident:
             del ends[e]
@@ -125,14 +145,14 @@ def reduce_low_degree(g):
             next_eid += 1
             events.append(Suppress(v, e1, e2, rep, x, z))
             ends[rep] = (min(x, z), max(x, z))
-            del adj[x][v], adj[z][v]
-            adj[x][z] = adj[x].get(z, []) + [rep]  # rep tops every id: still ascending
-            adj[z][x] = adj[z].get(x, []) + [rep]
+            row_x, row_z = own(x), own(z)
+            del row_x[v], row_z[v]
+            row_x[z] = row_x.get(z, []) + [rep]  # rep tops every id: still ascending
+            row_z[x] = row_z.get(x, []) + [rep]
         else:
             events.append(DeleteVertex(v, tuple(incident)))
-            for u, ids in nbrs.items():
-                del adj[u][v]
-                deg[u] -= len(ids)
+            for u in nbrs:
+                del own(u)[v]
         for u in nbrs:
             heapq.heappush(heap, u)
     if not events:
@@ -146,10 +166,12 @@ def reduce_low_degree(g):
 def ep_cycles(g, k, mode, c=4.0):
     """Either k disjoint cycles or a cycle cover, with a quality report.
 
-    Each round harvests a shortest cycle of the reduced residue, which has
-    no vertex of degree <= 1 and no suppressible degree-2 vertex.  A cover
-    round deletes that reduced cycle: its vertices, or one original edge per
-    reduced edge.  When no round's cycle is longer than ceil(c*log2(3k)) the
+    Each round harvests a shortest cycle of the reduced graph, which has no
+    vertex of degree <= 1 and no suppressible degree-2 vertex, and deletes
+    that reduced cycle from it: its vertices, or its edges, of which the
+    cover takes one original edge each.  g is reduced in full once; later
+    rounds reduce from the deleted cycle's neighbours, with fresh ids from
+    one counter.  When no round's cycle is longer than ceil(c*log2(3k)) the
     cover obeys |cover| <= ceil(c*log2(3k)) * k; otherwise each longer one
     is recorded as a high-girth event and only the generic min-degree-3
     bound is claimed.
@@ -160,9 +182,13 @@ def ep_cycles(g, k, mode, c=4.0):
     harvested = []
     cover_elems = set()
     events = []
-    residue = g
+    first_fresh = g.next_edge_id()
+    trace = ReductionTrace(())
+    residue, touched = g, None
     while True:
-        reduced, trace = reduce_low_degree(residue)
+        fresh_id = first_fresh + len(trace.made_by)
+        reduced, more = reduce_low_degree(residue, seeds=touched, next_eid=fresh_id)
+        trace.extend(more.events)
         cyc = reduced.shortest_cycle()
         if cyc is None:
             break
@@ -180,9 +206,10 @@ def ep_cycles(g, k, mode, c=4.0):
                 bound_claimed=k, hypotheses_held=held, events=tuple(events)
             )
             return EPOutcome(report, packing=packing)
-        taken = cyc.vertex_set if mode is Mode.VERTEX else trace.original_edges(cyc)
-        cover_elems |= taken
-        residue = residue.delete(taken, mode)
+        taken = cyc.vertex_set if mode is Mode.VERTEX else cyc.edge_set
+        cover_elems |= taken if mode is Mode.VERTEX else trace.original_edges(cyc)
+        touched = {u for v in cyc.vertices for u in reduced.neighbors(v)}
+        residue = reduced.delete(taken, mode)
     held = not events
     if held:
         bound = threshold * k

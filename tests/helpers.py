@@ -96,19 +96,21 @@ def from_networkx(nxg):
 
 
 @st.composite
-def multigraphs(draw, max_n=10, max_pairs=14, simple=False, min_n=1):
+def multigraphs(draw, max_n=10, max_pairs=14, simple=False, min_n=1, min_pairs=0):
     """Loopless graphs with scattered vertex ids and unordered edge ids;
-    unless ``simple``, a drawn pair may come in up to three parallel copies."""
+    unless ``simple``, a drawn pair may come in up to three parallel copies.
+    ``min_pairs`` applies when there are at least two vertices."""
     verts = draw(st.lists(st.integers(0, 40), min_size=min_n, max_size=max_n, unique=True))
     pairs = []
     if len(verts) > 1:
         ends = st.sampled_from(verts)
         pair = st.tuples(ends, ends).filter(lambda uv: uv[0] != uv[1])
         if simple:
-            pairs = draw(st.lists(pair, max_size=max_pairs, unique_by=frozenset))
+            pairs = draw(st.lists(pair, min_size=min_pairs, max_size=max_pairs,
+                                  unique_by=frozenset))
         else:
             for uv, copies in draw(st.lists(st.tuples(pair, st.integers(1, 3)),
-                                            max_size=max_pairs)):
+                                            min_size=min_pairs, max_size=max_pairs)):
                 pairs += [uv] * copies
     eids = draw(st.lists(st.integers(0, 4 * max_pairs), min_size=len(pairs),
                          max_size=len(pairs), unique=True))

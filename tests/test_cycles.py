@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from helpers import replay
+from helpers import random_multigraph, replay
 
+from eppack import cycles
 from eppack.certificates import cycles_detector, verify_cover, verify_packing
-from eppack.cycles import ep_cycles, reduce_low_degree, short_cycle_threshold
+from eppack.cycles import Suppress, ep_cycles, reduce_low_degree, short_cycle_threshold
 from eppack.errors import InvalidParameter
 from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
+from eppack.rng import SplitMix64
 
 
 def test_threshold():
@@ -103,6 +105,48 @@ def test_ep_cycles_cover_within_its_claims(mode):
     out = ep_cycles(g, 1, mode, c=0.5)
     assert not out.report.hypotheses_held
     assert out.report.events == (("high-girth", {"girth": 2, "threshold": 1}),)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_every_round_is_reduced_with_fresh_ids(monkeypatch, mode):
+    # ep_cycles reduces g once and then only around each deleted cycle: every
+    # round's graph must still be fully reduced, and no fresh id may repeat
+    # or reuse one of g's
+    rounds = []
+
+    def recording(h, **kw):
+        out = reduce_low_degree(h, **kw)
+        rounds.append((out[0], out[1].events))
+        return out
+
+    monkeypatch.setattr(cycles, "reduce_low_degree", recording)
+    for seed in range(12):
+        g = gnp(120, (2 + 0.1 * seed) / 120, seed)
+        rounds.clear()
+        ep_cycles(g, 8, mode)
+        assert len(rounds) > 1
+        fresh = [ev.replacement for _, evs in rounds for ev in evs if isinstance(ev, Suppress)]
+        assert len(set(fresh)) == len(fresh)
+        assert all(eid >= g.next_edge_id() for eid in fresh)
+        for h, _ in rounds:
+            assert not reduce_low_degree(h)[1].events
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_ep_cycles_on_multigraphs(mode):
+    # parallel edges, 2-cycles and non-contiguous ids, which gnp hosts lack
+    det = cycles_detector()
+    rng = SplitMix64(23)
+    for _ in range(600):
+        g = random_multigraph(rng)
+        for k in range(1, 6):
+            out = ep_cycles(g, k, mode)
+            if out.packing is not None:
+                assert len(out.packing) == k
+                assert verify_packing(g, det, out.packing)
+            else:
+                assert verify_cover(g, det, out.cover)
+                assert len(out.cover) <= out.report.bound_claimed
 
 
 def test_ep_cycles_rejects_bad_params():

@@ -3,9 +3,11 @@
 ``reduce_low_degree``, ``shortest_cycle`` and ``enumerate_cycles`` must return
 exactly what the per-step rebuild, the uncut per-edge BFS and the scan of
 every rotation return: the same events, the same reduced graph (edge order
-included) and cycles in canonical form.  The generator is pinned the same
-way: ``SplitMix64`` to the published splitmix64 outputs, ``below`` to one
-``random()`` call per draw and ``gnp`` to ``helpers.ref_gnp``.
+included) and cycles in canonical form.  A reduction seeded with the
+neighbours of what was deleted from a reduced graph must equal the full one.
+The generator is pinned the same way: ``SplitMix64`` to the published
+splitmix64 outputs, ``below`` to one ``random()`` call per draw and ``gnp``
+to ``helpers.ref_gnp``.
 """
 
 import math
@@ -25,7 +27,7 @@ from helpers import (
 
 from eppack.cycles import reduce_low_degree
 from eppack.gen import gnp
-from eppack.graph import Cycle, MultiGraph
+from eppack.graph import Cycle, Mode, MultiGraph
 from eppack.iso import enumerate_cycles
 from eppack.rng import _LANES, SplitMix64
 
@@ -51,6 +53,52 @@ def test_reduce_low_degree_matches_reference(g):
     assert {v: dict(row) for v, row in h._adj.items()} == {
         v: dict(row) for v, row in ref_h._adj.items()}
     assert (h is g) == (ref_h is g)
+
+
+def assert_seeded_reduction_is_exact(h, xs, mode):
+    """h is fully reduced: reducing h less xs from the neighbours of xs must
+    give what the full call gives, with the same fresh-id counter."""
+    if mode is Mode.VERTEX:
+        touched = {u for x in xs for u in h.neighbors(x)}
+    else:
+        touched = {v for e in xs for v in h.endpoints(e)}
+    residue = h.delete(xs, mode)
+    fresh = h.next_edge_id() + 5
+    seeded, s_trace = reduce_low_degree(residue, seeds=touched, next_eid=fresh)
+    full, f_trace = reduce_low_degree(residue, next_eid=fresh)
+    assert s_trace == f_trace
+    assert list(seeded.edges.items()) == list(full.edges.items())
+    assert seeded.vertices == full.vertices
+    assert {v: dict(row) for v, row in seeded._adj.items()} == {
+        v: dict(row) for v, row in full._adj.items()}
+    assert (seeded is residue) == (full is residue)
+
+
+@settings(max_examples=300)
+@given(st.one_of(multigraphs(min_n=4, max_n=10, min_pairs=10, max_pairs=30),
+                multigraphs(min_n=8, max_n=14, min_pairs=14, max_pairs=30, simple=True)),
+       st.sampled_from(list(Mode)), st.data())
+def test_seeded_reduction_matches_the_full_call(g, mode, data):
+    # as many pairs as vertices or more: the reduced graph keeps a cycle
+    h = reduce_low_degree(g)[0]
+    pool = sorted(h.elements(mode))
+    xs = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
+    assert_seeded_reduction_is_exact(h, xs, mode)
+
+
+def test_seeded_reduction_matches_the_full_call_on_fixed_seeds():
+    # each host's shortest cycle, as ep_cycles deletes it, and random sets
+    rng = SplitMix64(31)
+    for seed in range(20):
+        h = reduce_low_degree(gnp(80, (2 + 0.1 * seed) / 80, seed))[0]
+        cyc = h.shortest_cycle()
+        for mode in Mode:
+            pool = sorted(h.elements(mode))
+            sets = [set(rng.sample(pool, min(len(pool), size))) for size in (1, 2, 6)]
+            if cyc is not None:
+                sets.append(cyc.vertex_set if mode is Mode.VERTEX else cyc.edge_set)
+            for xs in sets:
+                assert_seeded_reduction_is_exact(h, xs, mode)
 
 
 @settings(max_examples=400)
