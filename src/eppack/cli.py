@@ -321,8 +321,9 @@ def build_parser():
     p.add_argument("-d", type=int, default=4)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--pattern", default="k5")
-    p.add_argument("--subcubic", action="store_true")
-    p.add_argument("--minor", action="store_true")
+    variant = p.add_mutually_exclusive_group()
+    variant.add_argument("--subcubic", action="store_true")
+    variant.add_argument("--minor", action="store_true")
     p.add_argument("-i", "--input")
     p.add_argument("-x", default="")
     p.add_argument("-o", "--output")

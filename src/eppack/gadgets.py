@@ -47,19 +47,23 @@ class MinorModel:
 
 
 class _Assembly:
-    """Mutable vertex/edge store with labels and class bookkeeping."""
+    """Mutable vertex/edge store with labels, incidence and the class maps."""
 
     def __init__(self):
         self.vertices = set()
         self.edges = {}
+        self.incident = {}  # vertex -> list of edge ids
         self.labels = {}
         self.next_v = 0
         self.next_e = 0
+        self.copies, self.columns, self.apex_groups = {}, {}, {}
+        self.ports, self.bundles = {}, {}
 
     def add_vertex(self, label):
         vid = self.next_v
         self.next_v += 1
         self.vertices.add(vid)
+        self.incident[vid] = []
         self.labels[vid] = label
         return vid
 
@@ -67,14 +71,41 @@ class _Assembly:
         eid = self.next_e
         self.next_e += 1
         self.edges[eid] = (u, v) if u < v else (v, u)
+        self.incident[u].append(eid)
+        self.incident[v].append(eid)
         return eid
 
-    def graph(self):
-        return MultiGraph(self.vertices, dict(self.edges))
+    def caterpillar(self, w):
+        """Replace w, of degree >= 4, by a left-leaning caterpillar.
+
+        The spine has degree - 2 vertices; the legs, in (far end, id)
+        order, hang two on the first spine vertex, one on each inner one and
+        two on the last.  Edge ids survive the rewiring.  Returns the spine;
+        the class maps are the caller's to update.
+        """
+        # a leg's far end is its endpoint other than w
+        far = {eid: sum(self.edges[eid]) - w for eid in self.incident.pop(w)}
+        legs = sorted(far, key=lambda eid: (far[eid], eid))
+        label = ("tree",) + self.labels.pop(w)
+        self.vertices.discard(w)
+        spine = [self.add_vertex(label + (t,)) for t in range(len(legs) - 2)]
+        for a, b in zip(spine, spine[1:]):
+            self.add_edge(a, b)
+        for eid, s in zip(legs, [spine[0], *spine, spine[-1]]):
+            self.edges[eid] = (s, far[eid]) if s < far[eid] else (far[eid], s)
+            self.incident[s].append(eid)
+        return tuple(spine)
+
+    def gadget(self, k, variant, pattern=None):
+        graph = MultiGraph(self.vertices, self.edges)
+        return Gadget(
+            graph, self.labels, k, variant, pattern, self.copies,
+            self.columns, self.apex_groups, self.ports, self.bundles,
+        )
 
 
-def _add_gamma_copy(asm, d, k, copy, columns, apex_groups, ports):
-    """One apexed d*k x (d+k-1) grid; fills the class maps in place."""
+def _add_gamma_copy(asm, d, k, copy):
+    """One apexed d*k x (d+k-1) grid, entered in the assembly's class maps."""
     width = d * k
     height = d + k - 1
     grid = {}
@@ -91,14 +122,14 @@ def _add_gamma_copy(asm, d, k, copy, columns, apex_groups, ports):
         a = asm.add_vertex(("apex", copy, j))
         for t in range(d):
             asm.add_edge(a, grid[(0, j * d + t)])
-        apex_groups[(copy, j)] = frozenset({a})
+        asm.apex_groups[(copy, j)] = frozenset({a})
     for col in range(width):
-        columns[(copy, col)] = frozenset(
+        asm.columns[(copy, col)] = frozenset(
             grid[(row, col)] for row in range(height)
         )
     for i in range(d):
         for j in range(k):
-            ports[(copy, i, j)] = frozenset({grid[(height - 1, i * k + j)]})
+            asm.ports[(copy, i, j)] = frozenset({grid[(height - 1, i * k + j)]})
 
 
 def gamma(d, k):
@@ -106,17 +137,8 @@ def gamma(d, k):
     if d < 1 or k < 1:
         raise InvalidParameter("gamma needs d >= 1 and k >= 1")
     asm = _Assembly()
-    columns, apex_groups, ports = {}, {}, {}
-    _add_gamma_copy(asm, d, k, None, columns, apex_groups, ports)
-    return Gadget(
-        graph=asm.graph(),
-        labels=asm.labels,
-        k=k,
-        variant="gamma",
-        columns=columns,
-        apex_groups=apex_groups,
-        ports=ports,
-    )
+    _add_gamma_copy(asm, d, k, None)
+    return asm.gadget(k, "gamma")
 
 
 def _check_pattern(h):
@@ -133,118 +155,45 @@ def _rank(h, v, u):
     return h.neighbors(v).index(u)
 
 
-def thicken(h, k):
-    """One gamma copy per pattern vertex, ports joined by k parallel edges."""
+def _thicken(h, k):
+    """The assembly of the thickening, class maps included."""
     if k < 1:
         raise InvalidParameter("k must be at least 1")
     _check_pattern(h)
     asm = _Assembly()
-    columns, apex_groups, ports = {}, {}, {}
-    copies = {}
     for v in sorted(h.vertices):
-        before = set(asm.vertices)
-        _add_gamma_copy(asm, h.degree(v), k, v, columns, apex_groups, ports)
-        copies[v] = frozenset(asm.vertices - before)
-    bundles = {}
+        first = asm.next_v
+        _add_gamma_copy(asm, h.degree(v), k, v)
+        asm.copies[v] = frozenset(range(first, asm.next_v))
     for u, v in sorted(h.underlying_pairs()):
         eids = []
         for i in range(k):
-            (pu,) = ports[(u, _rank(h, u, v), i)]
-            (pv,) = ports[(v, _rank(h, v, u), i)]
+            (pu,) = asm.ports[(u, _rank(h, u, v), i)]
+            (pv,) = asm.ports[(v, _rank(h, v, u), i)]
             eids.append(asm.add_edge(pu, pv))
-        bundles[(u, v)] = tuple(eids)
-    return Gadget(
-        graph=asm.graph(),
-        labels=asm.labels,
-        k=k,
-        variant="subdivision",
-        pattern=h,
-        copies=copies,
-        columns=columns,
-        apex_groups=apex_groups,
-        ports=ports,
-        bundles=bundles,
-    )
+        asm.bundles[(u, v)] = tuple(eids)
+    return asm
 
 
-def _replace_by_caterpillars(gadget, targets):
-    """Replace each target vertex, of degree >= 4, by a left-leaning caterpillar.
-
-    Spine vertices inherit the replaced vertex's class memberships, so the
-    routing machinery keeps working on the result.  Edge ids survive the
-    rewiring, which keeps the bundle maps valid.
-    """
-    g = gadget.graph
-    vertices = set(g.vertices)
-    edges = dict(g.edges)
-    labels = dict(gadget.labels)
-    next_v = g.next_vertex_id()
-    next_e = g.next_edge_id()
-    replaced = {}  # old vertex -> tuple of spine vertices
-
-    incident = {v: [] for v in vertices}
-    for eid, (a, b) in edges.items():
-        incident[a].append(eid)
-        incident[b].append(eid)
-
-    for w in sorted(targets):
-        legs = sorted(
-            incident[w],
-            key=lambda eid: (
-                edges[eid][1] if edges[eid][0] == w else edges[eid][0],
-                eid,
-            ),
-        )
-        deg = len(legs)
-        spine = []
-        for t in range(deg - 2):
-            vid = next_v
-            next_v += 1
-            vertices.add(vid)
-            labels[vid] = ("tree",) + labels[w] + (t,)
-            spine.append(vid)
-        for a, b in zip(spine, spine[1:]):
-            edges[next_e] = (a, b) if a < b else (b, a)
-            next_e += 1
-        # legs 0,1 on the first spine vertex, the last two on the final one
-        owner = [spine[0], spine[0]]
-        owner += [spine[t] for t in range(1, deg - 3)]
-        owner += [spine[-1], spine[-1]]
-        for eid, s in zip(legs, owner):
-            a, b = edges[eid]
-            other = b if a == w else a
-            edges[eid] = (s, other) if s < other else (other, s)
-        vertices.discard(w)
-        del labels[w]
-        replaced[w] = tuple(spine)
-
-    def remap(vs):
-        out = set()
-        for v in vs:
-            out.update(replaced.get(v, (v,)))
-        return frozenset(out)
-
-    new = MultiGraph(vertices, edges)
-    return Gadget(
-        graph=new,
-        labels=labels,
-        k=gadget.k,
-        variant="subdivision-subcubic",
-        pattern=gadget.pattern,
-        copies={v: remap(vs) for v, vs in gadget.copies.items()},
-        columns={key: remap(vs) for key, vs in gadget.columns.items()},
-        apex_groups={key: remap(vs) for key, vs in gadget.apex_groups.items()},
-        ports={key: remap(vs) for key, vs in gadget.ports.items()},
-        bundles=dict(gadget.bundles),
-    )
+def thicken(h, k):
+    """One gamma copy per pattern vertex, ports joined by k parallel edges."""
+    return _thicken(h, k).gadget(k, "subdivision", h)
 
 
 def thicken_subcubic(h, k):
-    """The thickening with every vertex of degree >= 4 turned into a tree."""
-    base = thicken(h, k)
-    g = base.graph
-    targets = [v for v in g.vertices if g.degree(v) >= 4]
-    out = _replace_by_caterpillars(base, targets)
+    """The thickening with every vertex of degree >= 4 turned into a tree.
+
+    Spine vertices inherit the replaced vertex's class memberships, so the
+    routing machinery keeps working on the result; the bundles keep their
+    edge ids.
+    """
+    asm = _thicken(h, k)
+    targets = sorted(v for v, eids in asm.incident.items() if len(eids) >= 4)
+    spines = {w: asm.caterpillar(w) for w in targets}
+    for classes in (asm.copies, asm.columns, asm.apex_groups, asm.ports):
+        for key, vs in classes.items():
+            classes[key] = frozenset(s for v in vs for s in spines.get(v, (v,)))
+    out = asm.gadget(k, "subdivision-subcubic", h)
     if any(out.graph.degree(v) > 3 for v in out.graph.vertices):
         raise InvariantViolated("subcubic thickening has a vertex of degree > 3")
     return out

@@ -9,8 +9,15 @@ import json
 
 from .certificates import certificate_from_dict
 from .decomp import TreeDecomposition
-from .errors import InvalidParameter
-from .gadgets import Gadget, MinorModel, SubdivisionModel
+from .errors import InvalidParameter, UnknownIdentifier, WouldCreateLoop
+from .gadgets import (
+    MinorModel,
+    SubdivisionModel,
+    gamma,
+    thicken,
+    thicken_minor,
+    thicken_subcubic,
+)
 from .graph import MultiGraph
 from .treepart import TreePartition
 from .trees import SubtreeFamily
@@ -203,77 +210,49 @@ def read_certificate(path):
 
 # -- gadget metadata ----------------------------------------------------------------
 
-
-def gadget_to_dict(gadget):
-    d = {
-        "k": gadget.k,
-        "variant": gadget.variant,
-        "vertices": sorted(gadget.graph.vertices),
-        "edges": [
-            [eid, u, v] for eid, (u, v) in sorted(gadget.graph.edges.items())
-        ],
-        "labels": {str(v): list(lab) for v, lab in sorted(gadget.labels.items())},
-        "copies": {str(c): sorted(vs) for c, vs in gadget.copies.items()},
-        "columns": [
-            [list(key), sorted(vs)] for key, vs in sorted(gadget.columns.items(), key=str)
-        ],
-        "apex_groups": [
-            [list(key), sorted(vs)]
-            for key, vs in sorted(gadget.apex_groups.items(), key=str)
-        ],
-        "ports": [
-            [list(key), sorted(vs)] for key, vs in sorted(gadget.ports.items(), key=str)
-        ],
-        "bundles": [
-            [list(key), list(eids)] for key, eids in sorted(gadget.bundles.items())
-        ],
-    }
-    if gadget.pattern is not None:
-        d["pattern"] = {
-            "vertices": sorted(gadget.pattern.vertices),
-            "edges": [
-                [eid, u, v]
-                for eid, (u, v) in sorted(gadget.pattern.edges.items())
-            ],
-        }
-    return d
-
-
-def gadget_from_dict(d):
-    graph = MultiGraph(
-        d["vertices"], {eid: (u, v) for eid, u, v in d["edges"]}
-    )
-    pattern = None
-    if "pattern" in d:
-        pd = d["pattern"]
-        pattern = MultiGraph(
-            pd["vertices"], {eid: (u, v) for eid, u, v in pd["edges"]}
-        )
-    return Gadget(
-        graph=graph,
-        labels={int(v): tuple(lab) for v, lab in d["labels"].items()},
-        k=d["k"],
-        variant=d["variant"],
-        pattern=pattern,
-        copies={int(c): frozenset(vs) for c, vs in d["copies"].items()},
-        columns={tuple(key): frozenset(vs) for key, vs in d["columns"]},
-        apex_groups={tuple(key): frozenset(vs) for key, vs in d["apex_groups"]},
-        ports={tuple(key): frozenset(vs) for key, vs in d["ports"]},
-        bundles={tuple(key): tuple(eids) for key, eids in d["bundles"]},
-    )
+_GENERATORS = {
+    "gamma": gamma,
+    "subdivision": thicken,
+    "subdivision-subcubic": thicken_subcubic,
+    "minor": thicken_minor,
+}
 
 
 def format_gadget_meta(gadget):
-    return json.dumps(gadget_to_dict(gadget), indent=1) + "\n"
+    """The generator call that remakes the gadget: variant, k, and d or pattern."""
+    d = {"variant": gadget.variant, "k": gadget.k}
+    if gadget.pattern is None:
+        d["d"] = len(gadget.columns) // gadget.k  # gamma has d*k columns
+    else:
+        h = gadget.pattern
+        d["pattern"] = {
+            "vertices": sorted(h.vertices),
+            "edges": [[eid, u, v] for eid, (u, v) in sorted(h.edges.items())],
+        }
+    return json.dumps(d, indent=1) + "\n"
 
 
 def read_gadget_meta(path):
-    """Gadget from its ``.meta`` file; InvalidParameter if it is malformed."""
+    """Gadget remade by the call its ``.meta`` file records.
+
+    Keys other than the call's are ignored; InvalidParameter if it is
+    malformed.
+    """
     d = _read_json(path, "gadget metadata")
     try:
-        return gadget_from_dict(d)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        make, k = _GENERATORS[d["variant"]], d["k"]
+        if make is gamma:
+            first = d["d"]
+        else:
+            pd = d["pattern"]
+            first = MultiGraph(
+                pd["vertices"], {eid: (u, v) for eid, u, v in pd["edges"]}
+            )
+    except (KeyError, TypeError, ValueError, UnknownIdentifier, WouldCreateLoop) as exc:
         raise InvalidParameter(f"malformed gadget metadata: {exc!r}") from None
+    if type(k) is not int or (make is gamma and type(first) is not int):
+        raise InvalidParameter("malformed gadget metadata: k and d must be integers")
+    return make(first, k)
 
 
 def model_to_dict(model):

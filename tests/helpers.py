@@ -22,6 +22,7 @@ from eppack.certificates import (
 from eppack.decomp import _td_from_elimination
 from eppack.graph import Cycle, Mode, MultiGraph, postorder, subtree_unions
 from eppack.errors import BudgetExceeded
+from eppack.gadgets import Gadget, thicken
 from eppack.iso import ENUMERATION_CAP, enumerate_cycles
 from eppack.oracles import ExactResult
 from eppack.rng import SplitMix64
@@ -847,3 +848,78 @@ def ref_enumerate_cycles(g):
             path_edges.append(eid)
             stack.append(steps(u, s))
     return sorted(out, key=lambda c: (len(c), c.vertices, c.edges))
+
+
+# -- reference subcubic thickening -----------------------------------------------
+#
+# thicken_subcubic as it was before the caterpillars were made in the gadget's
+# own assembly: it finishes thicken(h, k), then re-derives vertices, edges,
+# labels, fresh ids and incidence from the finished graph and replaces every
+# vertex of degree >= 4.  The package must build the same gadget, edge order
+# included.
+
+
+def ref_thicken_subcubic(h, k):
+    gadget = thicken(h, k)
+    g = gadget.graph
+    vertices = set(g.vertices)
+    edges = dict(g.edges)
+    labels = dict(gadget.labels)
+    next_v = g.next_vertex_id()
+    next_e = g.next_edge_id()
+    replaced = {}  # old vertex -> tuple of spine vertices
+
+    incident = {v: [] for v in vertices}
+    for eid, (a, b) in edges.items():
+        incident[a].append(eid)
+        incident[b].append(eid)
+
+    for w in sorted(v for v in g.vertices if g.degree(v) >= 4):
+        legs = sorted(
+            incident[w],
+            key=lambda eid: (
+                edges[eid][1] if edges[eid][0] == w else edges[eid][0],
+                eid,
+            ),
+        )
+        deg = len(legs)
+        spine = []
+        for t in range(deg - 2):
+            vid = next_v
+            next_v += 1
+            vertices.add(vid)
+            labels[vid] = ("tree",) + labels[w] + (t,)
+            spine.append(vid)
+        for a, b in zip(spine, spine[1:]):
+            edges[next_e] = (a, b) if a < b else (b, a)
+            next_e += 1
+        # legs 0,1 on the first spine vertex, the last two on the final one
+        owner = [spine[0], spine[0]]
+        owner += [spine[t] for t in range(1, deg - 3)]
+        owner += [spine[-1], spine[-1]]
+        for eid, s in zip(legs, owner):
+            a, b = edges[eid]
+            other = b if a == w else a
+            edges[eid] = (s, other) if s < other else (other, s)
+        vertices.discard(w)
+        del labels[w]
+        replaced[w] = tuple(spine)
+
+    def remap(vs):
+        out = set()
+        for v in vs:
+            out.update(replaced.get(v, (v,)))
+        return frozenset(out)
+
+    return Gadget(
+        graph=MultiGraph(vertices, edges),
+        labels=labels,
+        k=gadget.k,
+        variant="subdivision-subcubic",
+        pattern=gadget.pattern,
+        copies={v: remap(vs) for v, vs in gadget.copies.items()},
+        columns={key: remap(vs) for key, vs in gadget.columns.items()},
+        apex_groups={key: remap(vs) for key, vs in gadget.apex_groups.items()},
+        ports={key: remap(vs) for key, vs in gadget.ports.items()},
+        bundles=dict(gadget.bundles),
+    )

@@ -264,6 +264,13 @@ def test_gadget_thicken_variants(tmp_path, capsys, variant):
     assert all(x not in bs for bs in model.branch_sets.values())
 
 
+def test_gadget_thicken_takes_one_variant(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gadget", "thicken", "--pattern", "k4", "--subcubic", "--minor"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_fuzz_and_bench(tmp_path, capsys):
     assert main(["fuzz", "tuza", "--trials", "20", "--max-n", "7"]) == 0
     assert "0 violations" in capsys.readouterr().out
@@ -332,9 +339,13 @@ TRIANGLE_GR = "p gr 3 3\n1 2\n1 3\n2 3\n"
 TRIANGLE_TD = "s td 1 3 3\nb 1 1 2 3\n"
 TRIANGLE_TP = "s tp 1 3\nb 1 1 2 3\n"
 EMPTY_COVER = '{"kind":"cover","mode":"v","elements":[]}'
-THICK_META = json.dumps(eio.gadget_to_dict(thicken(MultiGraph.complete(4), 2)))
+THICK_META = eio.format_gadget_meta(thicken(MultiGraph.complete(4), 2))
 # k5 has degree 4, so its subcubic thickening holds no subdivision of it
 SUBCUBIC_K5_META = eio.format_gadget_meta(thicken_subcubic(MultiGraph.complete(5), 2))
+
+
+def _thick_meta(**fields):
+    return json.dumps({**json.loads(THICK_META), **fields})
 
 
 MALFORMED = {
@@ -351,6 +362,14 @@ MALFORMED = {
     "gr-not-utf8": ("cycles", b"p gr 3 1\n1 2\xff\n"),
     "meta-not-json": ("gadget", "not json"),
     "meta-missing-keys": ("gadget", '{"k": 2}'),
+    "meta-unknown-variant": ("gadget", _thick_meta(variant="nope")),
+    "meta-k-zero": ("gadget", _thick_meta(k=0)),
+    "meta-k-not-int": ("gadget", _thick_meta(k=2.5)),
+    "meta-gamma-no-d": ("gadget", '{"variant": "gamma", "k": 2}'),
+    "meta-edge-missing-endpoint": (
+        "gadget", _thick_meta(pattern={"vertices": [0, 1], "edges": [[0, 0, 5]]}),
+    ),
+    "meta-json-list": ("gadget", '["subdivision", 2]'),
     # well-formed files, with an argument that names nothing
     "patterns-verify": ("verify-patterns", EMPTY_COVER),
     "patterns-separate": ("separate-patterns", TRIANGLE_TD),

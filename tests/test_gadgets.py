@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from eppack.errors import InvalidParameter, PreconditionViolated
@@ -14,6 +16,8 @@ from eppack.gadgets import (
 )
 from eppack.graph import MultiGraph
 from eppack.rng import SplitMix64
+
+from helpers import ref_thicken_subcubic
 
 K5 = MultiGraph.complete(5)
 K33 = MultiGraph.complete_bipartite(3, 3)
@@ -72,6 +76,29 @@ def test_subcubic_degree_audit():
     assert max(t.graph.degree(v) for v in t.graph.vertices) <= 3
     tm = thicken_minor(K5, 2)
     assert max(tm.graph.degree(v) for v in tm.graph.vertices) <= 3
+
+
+PATTERNS = {
+    "k2": MultiGraph.complete(2),
+    "k3": MultiGraph.complete(3),
+    "k4": MultiGraph.complete(4),
+    "k5": K5,
+    "k33": K33,
+    "petersen": MultiGraph.petersen(),
+    "c5": MultiGraph.cycle_graph(5),
+    "p3": MultiGraph.path_graph(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_subcubic_matches_frozen_caterpillars(name):
+    h = PATTERNS[name]
+    for k in range(1, 5):
+        ref = ref_thicken_subcubic(h, k)
+        for got in (thicken_subcubic(h, k), thicken_minor(h, k)):
+            assert got == replace(ref, variant=got.variant)
+            assert list(got.graph.edges.items()) == list(ref.graph.edges.items())
+            assert list(got.labels.items()) == list(ref.labels.items())
 
 
 def test_canonical_models_verify():

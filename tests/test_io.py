@@ -1,10 +1,18 @@
+import json
+
 import pytest
 
 from eppack import io as eio
 from eppack.certificates import CoverCertificate, PackingCertificate, PatternWitness
 from eppack.decomp import min_fill_td, validate_td
 from eppack.errors import InvalidParameter
-from eppack.gadgets import thicken
+from eppack.gadgets import (
+    gamma,
+    route_avoiding,
+    thicken,
+    thicken_minor,
+    thicken_subcubic,
+)
 from eppack.gen import gnp, random_subtree_family
 from eppack.graph import Mode, MultiGraph
 from eppack.treepart import bfs_layer_tp, validate_tp
@@ -85,15 +93,44 @@ def test_certificate_round_trip(tmp_path):
     assert eio.read_certificate(path) == c
 
 
+META_GADGETS = {
+    "gamma": lambda: gamma(3, 2),
+    "subdivision": lambda: thicken(MultiGraph.complete(4), 2),
+    "subdivision-subcubic": lambda: thicken_subcubic(MultiGraph.complete(4), 2),
+    "minor": lambda: thicken_minor(MultiGraph.complete(5), 2),
+}
+
+
 def test_gadget_meta_round_trip(tmp_path):
-    gadget = thicken(MultiGraph.complete(4), 2)
     path = tmp_path / "g.meta"
-    path.write_text(eio.format_gadget_meta(gadget))
-    back = eio.read_gadget_meta(path)
-    assert back.graph == gadget.graph
-    assert back.labels == gadget.labels
-    assert back.bundles == gadget.bundles
-    assert back.columns == gadget.columns
-    assert back.apex_groups == gadget.apex_groups
-    assert back.copies == gadget.copies
-    assert back.pattern == gadget.pattern
+    for variant, make in META_GADGETS.items():
+        gadget = make()
+        text = eio.format_gadget_meta(gadget)
+        size_key = "d" if variant == "gamma" else "pattern"
+        assert set(json.loads(text)) == {"variant", "k", size_key}
+        path.write_text(text)
+        back = eio.read_gadget_meta(path)
+        assert back == gadget
+        assert eio.format_gadget_meta(back) == text
+        if variant == "gamma":
+            continue
+        x = frozenset(sorted(gadget.graph.vertices)[:1])
+        routes = [eio.model_to_dict(route_avoiding(g, x)) for g in (back, gadget)]
+        assert json.dumps(routes[0]) == json.dumps(routes[1])
+
+
+# thicken(K2, 1) in the older .meta format, which listed every Gadget field
+OLD_META = (
+    '{"k":1,"variant":"subdivision","vertices":[0,1,2,3],'
+    '"edges":[[0,0,1],[1,2,3],[2,0,2]],"labels":{"0":["grid",0,0,0],'
+    '"1":["apex",0,0],"2":["grid",1,0,0],"3":["apex",1,0]},'
+    '"copies":{"0":[0,1],"1":[2,3]},"columns":[[[0,0],[0]],[[1,0],[2]]],'
+    '"apex_groups":[[[0,0],[1]],[[1,0],[3]]],"ports":[[[0,0,0],[0]],[[1,0,0],[2]]],'
+    '"bundles":[[[0,1],[2]]],"pattern":{"vertices":[0,1],"edges":[[0,0,1]]}}'
+)
+
+
+def test_old_full_gadget_meta_reads_to_the_same_gadget(tmp_path):
+    path = tmp_path / "old.meta"
+    path.write_text(OLD_META)
+    assert eio.read_gadget_meta(path) == thicken(MultiGraph.complete(2), 1)
