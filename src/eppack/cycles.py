@@ -109,17 +109,15 @@ def reduce_low_degree(g, *, seeds=None, next_eid=None):
     start: in a fully reduced graph less some vertices or edges, seeding
     with their neighbours gives the full call's result.
 
-    One pass with a heap of candidate vertices; only the neighbours of the
-    vertex just removed are re-examined, so the cost is O((n + m) log n).
+    One pass with a heap of candidate vertices and a local degree table, set
+    for every vertex (or the seeds) at the start and for others when first
+    reached; a deletion lowers its neighbour's entry, a suppression none.
+    Only neighbours that qualify after a step are pushed: O((n + m) log n).
     Rows are copied when first changed, and shared with g otherwise.
     """
     parent = g._adj
     adj = dict(parent)
     ends = dict(g.edges)  # working edge table; keeps g's edge order
-
-    def qualifies(v):  # degree <= 1, or degree 2 on two neighbours
-        row = adj[v]
-        return len(row) <= 2 and sum(map(len, row.values())) <= max(len(row), 1)
 
     def own(u):
         row = adj[u]
@@ -127,34 +125,41 @@ def reduce_low_degree(g, *, seeds=None, next_eid=None):
             row = adj[u] = dict(row)
         return row
 
-    heap = sorted(v for v in (adj if seeds is None else seeds) if v in adj and qualifies(v))
+    rows = adj.items() if seeds is None else [(v, adj[v]) for v in seeds if v in adj]
+    deg = {v: sum(map(len, row.values())) for v, row in rows}
+    heap = sorted(v for v, d in deg.items() if d <= 1 or (d == 2 and len(adj[v]) == 2))
     events = []
     next_eid = g.next_edge_id() if next_eid is None else next_eid
     while heap:
         v = heapq.heappop(heap)
-        if v not in adj or not qualifies(v):
+        row = adj.get(v)
+        if row is None or not ((d := deg[v]) <= 1 or (d == 2 and len(row) == 2)):
             continue  # stale entry
-        nbrs = adj.pop(v)
-        incident = sorted(e for ids in nbrs.values() for e in ids)
-        for e in incident:
-            del ends[e]
-        if len(incident) == 2:
-            e1, e2 = incident
-            x, z = (next(u for u, ids in nbrs.items() if e in ids) for e in incident)
+        del adj[v]
+        if d == 2:  # two single-id rows: v's two edges
+            (x, (e1,)), (z, (e2,)) = row.items()
+            if e1 > e2:
+                x, z, e1, e2 = z, x, e2, e1
+            del ends[e1], ends[e2]
             rep = next_eid
             next_eid += 1
             events.append(Suppress(v, e1, e2, rep, x, z))
-            ends[rep] = (min(x, z), max(x, z))
+            ends[rep] = (x, z) if x < z else (z, x)
             row_x, row_z = own(x), own(z)
             del row_x[v], row_z[v]
             row_x[z] = row_x.get(z, []) + [rep]  # rep tops every id: still ascending
             row_z[x] = row_z.get(x, []) + [rep]
         else:
-            events.append(DeleteVertex(v, tuple(incident)))
-            for u in nbrs:
-                del own(u)[v]
-        for u in nbrs:
-            heapq.heappush(heap, u)
+            events.append(DeleteVertex(v, tuple(*row.values())))  # () or its one edge
+            for u, (e,) in row.items():  # at most one
+                del ends[e], own(u)[v]
+                if u in deg:
+                    deg[u] -= 1
+        for u in row:
+            if u not in deg:
+                deg[u] = sum(map(len, adj[u].values()))
+            if (d := deg[u]) <= 1 or (d == 2 and len(adj[u]) == 2):
+                heapq.heappush(heap, u)
     if not events:
         return g, ReductionTrace(())
     return MultiGraph._derive(frozenset(adj), ends, adj), ReductionTrace(tuple(events))

@@ -13,6 +13,7 @@ from .errors import (
     InvariantViolated,
     PreconditionViolated,
     RoutingFailed,
+    UnknownIdentifier,
 )
 from .graph import MultiGraph
 
@@ -297,6 +298,8 @@ def route_avoiding(gadget, x):
     x = frozenset(x)
     if gadget.variant == "gamma":
         raise InvalidParameter("routing needs a thickened gadget")
+    if stray := sorted(x - gadget.graph.vertices):
+        raise UnknownIdentifier(f"forbidden ids not in the gadget: {stray}")
     if len(x) >= gadget.k:
         raise PreconditionViolated("forbidden set must have fewer than k vertices")
     h = gadget.pattern

@@ -40,11 +40,8 @@ def _read_json(path, what):
 
 
 def _data_lines(text):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield line
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("c")]
 
 
 def _ints(line, skip=0, count=None):
@@ -62,19 +59,24 @@ def _ints(line, skip=0, count=None):
 
 
 def parse_gr(text):
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith("p gr"):
         raise InvalidParameter("missing 'p gr' header")
     n, m = _ints(lines[0], skip=2, count=2)
+    if n < 0 or m < 0:
+        raise InvalidParameter(f"negative count in line {lines[0]!r}")
     if len(lines) - 1 != m:
         raise InvalidParameter(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        u, v = _ints(line, count=2)
-        if not (1 <= u <= n and 1 <= v <= n):
+    edges = {}
+    for i, line in enumerate(lines[1:]):
+        try:
+            u, v = map(int, line.split())
+        except ValueError:  # _ints words the message
+            u, v = _ints(line, count=2)
+        if not (0 < u <= n and 0 < v <= n):
             raise InvalidParameter(f"vertex out of range in line {line!r}")
-        edges.append((u - 1, v - 1))
-    return MultiGraph.from_edges(range(n), edges)
+        edges[i] = (u - 1, v - 1)
+    return MultiGraph(range(n), edges)
 
 
 def _edge_lines(edges, pos):
@@ -102,7 +104,7 @@ def _parse_bags(text, kind, header_len):
     The header holds ``header_len`` integers, the first being the number of
     bags; then come ``b <bag> <vertex>...`` lines and tree-edge lines.
     """
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith(f"s {kind}"):
         raise InvalidParameter(f"missing 's {kind}' header")
     nbags = _ints(lines[0], skip=2, count=header_len)[0]
@@ -166,7 +168,7 @@ def read_tp(path):
 
 
 def parse_family(text):
-    lines = list(_data_lines(text))
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith("t "):
         raise InvalidParameter("missing 't <n>' header")
     (n,) = _ints(lines[0], skip=1, count=1)

@@ -352,6 +352,7 @@ MALFORMED = {
     "gr-header-token": ("cycles", "p gr 3 x\n"),
     "gr-edge-token": ("cycles", "p gr 3 1\n1 x\n"),
     "gr-edge-arity": ("cycles", "p gr 3 1\n1 2 3\n"),
+    "gr-negative-count": ("cycles", "p gr -1 0\n"),
     "td-short-header": ("td", "s td 1 2\nb 1 1 2 3\n"),
     "td-bag-token": ("td", "s td 1 3 3\nb 1 1 x 3\n"),
     "tp-short-header": ("tp", "s tp 1\nb 1 1 2 3\n"),
@@ -377,6 +378,7 @@ MALFORMED = {
     "patterns-disconnected": ("disconnected-patterns", TRIANGLE_TD),
     "patterns-tp-cover": ("tp-cover-patterns", TRIANGLE_TP),
     "route-x-token": ("route-x", THICK_META),
+    "route-x-unknown": ("route-x-unknown", THICK_META),
     "route-no-input": ("route-no-input", THICK_META),
     "route-subcubic-k5": ("gadget", SUBCUBIC_K5_META),
     "oracle-pattern": ("oracle-pattern", TRIANGLE_GR),
@@ -405,6 +407,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         ],
         "tp-cover-patterns": ["tp", "cover", "-i", str(host), "-t", str(bad), "--patterns", "nope"],
         "route-x": ["gadget", "route", "-i", str(bad), "-x", "1,a"],
+        "route-x-unknown": ["gadget", "route", "-i", str(bad), "-x", "999999"],
         "route-no-input": ["gadget", "route", "-x", "0"],
         "oracle-pattern": ["oracle", "pack-sub", "-i", str(host), "--pattern", "nope"],
     }[command]

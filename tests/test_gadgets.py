@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from eppack.errors import InvalidParameter, PreconditionViolated
+from eppack.errors import InvalidParameter, PreconditionViolated, UnknownIdentifier
 from eppack.gadgets import (
     gamma,
     route_avoiding,
@@ -149,6 +149,9 @@ def test_route_precondition():
         route_avoiding(t, frozenset(verts[:2]))
     with pytest.raises(InvalidParameter):
         route_avoiding(gamma(2, 2), frozenset())
+    for stray in (max(verts) + 1, 999999, -5):
+        with pytest.raises(UnknownIdentifier):
+            route_avoiding(t, frozenset({stray}))
 
 
 def test_verifiers_reject_broken_models():

@@ -5,7 +5,7 @@ import pytest
 from eppack import io as eio
 from eppack.certificates import CoverCertificate, PackingCertificate, PatternWitness
 from eppack.decomp import min_fill_td, validate_td
-from eppack.errors import InvalidParameter
+from eppack.errors import InvalidParameter, WouldCreateLoop
 from eppack.gadgets import (
     gamma,
     route_avoiding,
@@ -32,13 +32,56 @@ def test_gr_parallel_edges_and_comments():
     assert len(g.edges_between(0, 1)) == 2
 
 
-def test_gr_errors():
-    with pytest.raises(InvalidParameter):
-        eio.parse_gr("1 2\n")
-    with pytest.raises(InvalidParameter):
-        eio.parse_gr("p gr 2 1\n1 3\n")
-    with pytest.raises(InvalidParameter):
-        eio.parse_gr("p gr 2 2\n1 2\n")
+# Each malformed .gr text with the error and message it must raise; a
+# negative count in the header is an error, not an empty graph.
+GR_ERRORS = {
+    "missing-header": ("1 2\n", InvalidParameter, "missing 'p gr' header"),
+    "empty-text": ("", InvalidParameter, "missing 'p gr' header"),
+    "short-header": ("p gr 3\n", InvalidParameter, "expected 2 integers in line 'p gr 3'"),
+    "header-token": ("p gr 3 x\n", InvalidParameter, "non-integer token in line 'p gr 3 x'"),
+    "edge-token": ("p gr 3 1\n1 x\n", InvalidParameter, "non-integer token in line '1 x'"),
+    "edge-one-token": ("p gr 3 1\n1\n", InvalidParameter, "expected 2 integers in line '1'"),
+    "edge-three-tokens": (
+        "p gr 3 1\n1 2 3\n", InvalidParameter, "expected 2 integers in line '1 2 3'"),
+    "edge-arity-before-token": (
+        "p gr 2 1\n1 2 x\n", InvalidParameter, "expected 2 integers in line '1 2 x'"),
+    "vertex-zero": ("p gr 3 1\n0 2\n", InvalidParameter, "vertex out of range in line '0 2'"),
+    "vertex-n-plus-one": (
+        "p gr 2 1\n1 3\n", InvalidParameter, "vertex out of range in line '1 3'"),
+    "loop": ("p gr 3 1\n2 2\n", WouldCreateLoop, "edge 0 joins 1 to itself"),
+    "too-few-edge-lines": ("p gr 2 2\n1 2\n", InvalidParameter, "expected 2 edge lines, got 1"),
+    "too-many-edge-lines": (
+        "p gr 2 1\n1 2\n1 2\n", InvalidParameter, "expected 1 edge lines, got 2"),
+    "negative-vertex-count": (
+        "p gr -1 0\n", InvalidParameter, "negative count in line 'p gr -1 0'"),
+    "negative-edge-count": (
+        "p gr 3 -1\n", InvalidParameter, "negative count in line 'p gr 3 -1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GR_ERRORS))
+def test_gr_errors(case):
+    text, error, message = GR_ERRORS[case]
+    with pytest.raises(error) as info:
+        eio.parse_gr(text)
+    assert str(info.value) == message
+
+
+# Every accepted form of one multigraph: edge ids follow the edge lines.
+GR_ACCEPTED = {
+    "plain": "p gr 3 4\n1 2\n2 3\n3 1\n2 1\n",
+    "comments-and-blanks": "c host\n\np gr 3 4\nc first edge\n1 2\n\n2 3\n3 1\n2 1\nc end",
+    "crlf": "p gr 3 4\r\n1 2\r\n2 3\r\n3 1\r\n2 1\r\n",
+    "padded": "  p gr  3 4 \n\t1 2\n 2   3 \n3 1\t\n2 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GR_ACCEPTED))
+def test_gr_accepted_forms(case):
+    g = eio.parse_gr(GR_ACCEPTED[case])
+    assert g.vertices == {0, 1, 2}
+    assert list(g.edges.items()) == [(0, (0, 1)), (1, (1, 2)), (2, (0, 2)), (3, (0, 1))]
+    assert g.edges_between(0, 1) == [0, 3]
 
 
 def test_gr_file_round_trip(tmp_path):

@@ -44,6 +44,10 @@ TRIANGLE_AND_PATH = MultiGraph([9, 2, 5, 0, 30], {7: (5, 9), 3: (9, 2), 11: (2, 
 @example(TRIANGLE_AND_PATH)
 @example(MultiGraph.theta(3))
 def test_reduce_low_degree_matches_reference(g):
+    assert_reduction_matches_reference(g)
+
+
+def assert_reduction_matches_reference(g):
     h, trace = reduce_low_degree(g)
     ref_h, ref_trace = ref_reduce_low_degree(g)
     assert trace == ref_trace
@@ -53,6 +57,7 @@ def test_reduce_low_degree_matches_reference(g):
     assert {v: dict(row) for v, row in h._adj.items()} == {
         v: dict(row) for v, row in ref_h._adj.items()}
     assert (h is g) == (ref_h is g)
+    return h
 
 
 def assert_seeded_reduction_is_exact(h, xs, mode):
@@ -99,6 +104,17 @@ def test_seeded_reduction_matches_the_full_call_on_fixed_seeds():
                 sets.append(cyc.vertex_set if mode is Mode.VERTEX else cyc.edge_set)
             for xs in sets:
                 assert_seeded_reduction_is_exact(h, xs, mode)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800])
+def test_reduction_at_benchmark_sizes(n):
+    # the hosts of the cycles-sparse benchmark: sparse gnp, c from 1.5 to 3
+    for c in (1.5, 2.25, 3.0):
+        h = assert_reduction_matches_reference(gnp(n, c / n, 7))
+        cyc = h.shortest_cycle()
+        if cyc is not None:
+            assert_seeded_reduction_is_exact(h, cyc.vertex_set, Mode.VERTEX)
+            assert_seeded_reduction_is_exact(h, cyc.edge_set, Mode.EDGE)
 
 
 @settings(max_examples=400)
