@@ -49,18 +49,9 @@ class PackingCertificate:
         return len(self.members)
 
     def to_dict(self, bound_claimed=None, hypotheses_held=None):
-        d = {
-            "mode": self.mode.value,
-            "kind": "packing",
-            "members": [
-                [sorted(w.vertices), sorted(w.edges)] for w in self.members
-            ],
-        }
-        if bound_claimed is not None:
-            d["bound_claimed"] = bound_claimed
-        if hypotheses_held is not None:
-            d["hypotheses_held"] = hypotheses_held
-        return d
+        members = [[sorted(w.vertices), sorted(w.edges)] for w in self.members]
+        d = {"mode": self.mode.value, "kind": "packing", "members": members}
+        return _with_claims(d, bound_claimed, hypotheses_held)
 
     @classmethod
     def from_dict(cls, d):
@@ -79,20 +70,19 @@ class CoverCertificate:
         return len(self.elements)
 
     def to_dict(self, bound_claimed=None, hypotheses_held=None):
-        d = {
-            "mode": self.mode.value,
-            "kind": "cover",
-            "elements": sorted(self.elements),
-        }
-        if bound_claimed is not None:
-            d["bound_claimed"] = bound_claimed
-        if hypotheses_held is not None:
-            d["hypotheses_held"] = hypotheses_held
-        return d
+        d = {"mode": self.mode.value, "kind": "cover", "elements": sorted(self.elements)}
+        return _with_claims(d, bound_claimed, hypotheses_held)
 
     @classmethod
     def from_dict(cls, d):
         return cls(Mode.parse(d["mode"]), _id_set(d["elements"]))
+
+
+def _with_claims(d, bound_claimed, hypotheses_held):
+    """d with the claims that are not None added, in this order."""
+    claims = {"bound_claimed": bound_claimed, "hypotheses_held": hypotheses_held}
+    d.update((key, x) for key, x in claims.items() if x is not None)
+    return d
 
 
 def _id_set(ids):
@@ -155,31 +145,21 @@ class Diagnostics:
 # -- detectors ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class PatternDetector:
     """Predicate/witness finder for a guest family.
 
     find(g) returns a PatternWitness or None; minimal(g) additionally
     shrinks the witness until no proper subgraph is still a witness.
+    enumerate(g) and exact_vpack(g) call the optional callables below.
     """
 
-    def __init__(
-        self,
-        name,
-        find,
-        connected_patterns,
-        delta_tilde_bound=None,
-        enumerate_witnesses=None,
-        exact_vpack=None,
-    ):
-        self.name = name
-        self._find = find
-        self.connected_patterns = connected_patterns
-        self.delta_tilde_bound = delta_tilde_bound
-        self._enumerate = enumerate_witnesses
-        self._exact_vpack = exact_vpack
-
-    def find(self, g):
-        return self._find(g)
+    name: str
+    find: object  # host -> PatternWitness or None
+    connected_patterns: bool
+    delta_tilde_bound: int = None
+    enumerate_witnesses: object = None  # host -> list of PatternWitness
+    vpack_oracle: object = None  # host -> its exact vertex-packing number
 
     def minimal(self, g):
         """Witness shrunk by greedy edge removal with re-testing."""
@@ -206,14 +186,14 @@ class PatternDetector:
         return w
 
     def enumerate(self, g):
-        if self._enumerate is None:
+        if self.enumerate_witnesses is None:
             raise InvalidParameter(f"detector {self.name} cannot enumerate")
-        return self._enumerate(g)
+        return self.enumerate_witnesses(g)
 
     def exact_vpack(self, g):
-        if self._exact_vpack is None:
+        if self.vpack_oracle is None:
             raise InvalidParameter(f"detector {self.name} has no exact packer")
-        return self._exact_vpack(g)
+        return self.vpack_oracle(g)
 
 
 def _cycle_witness(g):
@@ -239,7 +219,7 @@ def cycles_detector():
         connected_patterns=True,
         delta_tilde_bound=2,
         enumerate_witnesses=enumerate_witnesses,
-        exact_vpack=exact_vpack,
+        vpack_oracle=exact_vpack,
     )
 
 

@@ -79,6 +79,12 @@ def _emit_json(args, obj):
     _emit(args, json.dumps(obj, indent=1) + "\n")
 
 
+def _verdict(check):
+    """Print a check's verdict; exit 0 if it holds, 1 if not."""
+    print("valid" if check else f"invalid: {check.violations}")
+    return EXIT_OK if check else EXIT_INVALID
+
+
 def _emit_outcome(args, outcome):
     """Write the certificate with its claims; exit 0 for a packing, 10 for a cover."""
     report = outcome.report
@@ -101,6 +107,14 @@ def cmd_cycles(args):
     return code
 
 
+CYCLE_ORACLES = {
+    "vpack-cycles": oracles.exact_vpack_cycles,
+    "vcover-cycles": oracles.exact_vcover_cycles,
+    "epack-cycles": oracles.exact_epack_cycles,
+    "ecover-cycles": oracles.exact_ecover_cycles,
+}
+
+
 def cmd_oracle(args):
     g = io.read_gr(args.input)
     if args.which in ("pack-sub", "cover-sub"):
@@ -113,13 +127,7 @@ def cmd_oracle(args):
         )
         result = fn(g, pattern, mode)
     else:
-        fn = {
-            "vpack-cycles": oracles.exact_vpack_cycles,
-            "vcover-cycles": oracles.exact_vcover_cycles,
-            "epack-cycles": oracles.exact_epack_cycles,
-            "ecover-cycles": oracles.exact_ecover_cycles,
-        }[args.which]
-        result = fn(g)
+        result = CYCLE_ORACLES[args.which](g)
     print(result.value)
     if args.output:
         _emit(args, io.format_certificate(result.witness, None, None))
@@ -152,9 +160,7 @@ def cmd_decomp(args):
     g = io.read_gr(args.input)
     td = io.read_td(args.td)
     if args.action == "validate":
-        check = validate_td(g, td)
-        print("valid" if check else f"invalid: {check.violations}")
-        return EXIT_OK if check else EXIT_INVALID
+        return _verdict(validate_td(g, td))
     if args.action == "nice":
         ntd = to_nice(g, td)
         _emit(args, io.format_td(ntd.to_td(), g.n))
@@ -182,9 +188,7 @@ def cmd_tp(args):
     g = io.read_gr(args.input)
     tp = io.read_tp(args.tp)
     if args.action == "validate":
-        check = treepart.validate_tp(g, tp)
-        print("valid" if check else f"invalid: {check.violations}")
-        return EXIT_OK if check else EXIT_INVALID
+        return _verdict(treepart.validate_tp(g, tp))
     if args.action == "width":
         print(treepart.tp_width(g, tp))
         return EXIT_OK
@@ -248,12 +252,8 @@ def cmd_verify(args):
     g = io.read_gr(args.input)
     cert = io.read_certificate(args.certificate)
     det = _detector(args.patterns)
-    if isinstance(cert, PackingCertificate):
-        check = verify_packing(g, det, cert)
-    else:
-        check = verify_cover(g, det, cert)
-    print("valid" if check else f"invalid: {check.violations}")
-    return EXIT_OK if check else EXIT_INVALID
+    verify = verify_packing if isinstance(cert, PackingCertificate) else verify_cover
+    return _verdict(verify(g, det, cert))
 
 
 def build_parser():
@@ -262,61 +262,48 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cycles", help="constructive cycle packing or cover")
-    p.add_argument("-i", "--input", required=True)
+    def command(name, fn, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(fn=fn)
+        return p
+
+    def option(*flags, **kw):  # a parent parser that declares one shared option
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(*flags, **kw)
+        return shared
+
+    inp = option("-i", "--input", required=True)
+    out = option("-o", "--output")
+    patterns = option("--patterns", default="cycles")
+    mode = option("--mode", default="v", choices=["v", "e"])
+
+    p = command("cycles", cmd_cycles, "constructive cycle packing or cover", inp, mode, out)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--mode", default="v", choices=["v", "e"])
     p.add_argument("--c-const", type=float, default=4.0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_cycles)
 
-    p = sub.add_parser("oracle", help="exact ground-truth solvers")
-    p.add_argument(
-        "which",
-        choices=[
-            "vpack-cycles",
-            "vcover-cycles",
-            "epack-cycles",
-            "ecover-cycles",
-            "pack-sub",
-            "cover-sub",
-        ],
-    )
-    p.add_argument("-i", "--input", required=True)
+    p = command("oracle", cmd_oracle, "exact ground-truth solvers", inp, mode, out)
+    p.add_argument("which", choices=[*CYCLE_ORACLES, "pack-sub", "cover-sub"])
     p.add_argument("--pattern", default="k3")
-    p.add_argument("--mode", default="v", choices=["v", "e"])
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("trees", help="subtree family packing and selection")
+    p = command("trees", cmd_trees, "subtree family packing and selection", out)
     p.add_argument("action", choices=["gallai", "select"])
     p.add_argument("-i", "--input", nargs="+", required=True)
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_trees)
 
-    p = sub.add_parser("decomp", help="tree decomposition machinery")
+    p = command("decomp", cmd_decomp, "tree decomposition machinery", inp, patterns, out)
     p.add_argument(
         "action", choices=["validate", "nice", "separate", "cover", "disconnected"]
     )
-    p.add_argument("-i", "--input", required=True)
     p.add_argument("-t", "--td", required=True)
-    p.add_argument("--patterns", default="cycles")
     p.add_argument("-k", type=int, default=1)
     p.add_argument("--ceiling-coeff", type=int, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_decomp)
 
-    p = sub.add_parser("tp", help="tree partition machinery")
+    p = command("tp", cmd_tp, "tree partition machinery", inp, patterns, out)
     p.add_argument("action", choices=["validate", "width", "cover"])
-    p.add_argument("-i", "--input", required=True)
     p.add_argument("-t", "--tp", required=True)
-    p.add_argument("--patterns", default="cycles")
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_tp)
 
-    p = sub.add_parser("gadget", help="lower-bound gadget generators")
+    p = command("gadget", cmd_gadget, "lower-bound gadget generators", out)
     p.add_argument("action", choices=["gamma", "thicken", "route"])
     p.add_argument("-d", type=int, default=4)
     p.add_argument("-k", type=int, default=3)
@@ -326,31 +313,21 @@ def build_parser():
     variant.add_argument("--minor", action="store_true")
     p.add_argument("-i", "--input")
     p.add_argument("-x", default="")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_gadget)
 
-    p = sub.add_parser("fuzz", help="conjecture fuzzers")
+    p = command("fuzz", cmd_fuzz, "conjecture fuzzers")
     p.add_argument("target", choices=["tuza", "jones"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_fuzz)
 
-    p = sub.add_parser("bench", help="gap growth benchmark (CSV)")
-    p.add_argument("--mode", default="v", choices=["v", "e"])
+    p = command("bench", cmd_bench, "gap growth benchmark (CSV)", mode, out)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("-n", type=int, default=20)
     p.add_argument("-p", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("verify", help="independent certificate verification")
-    p.add_argument("-i", "--input", required=True)
+    p = command("verify", cmd_verify, "independent certificate verification", inp, patterns)
     p.add_argument("-c", "--certificate", required=True)
-    p.add_argument("--patterns", default="cycles")
-    p.set_defaults(fn=cmd_verify)
-
     return parser
 
 

@@ -29,13 +29,13 @@ def short_cycle_threshold(q, c):
 # -- low-degree reduction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteVertex:
     vertex: int
     edges: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Suppress:
     vertex: int
     edge_a: int  # {x, vertex}
@@ -47,19 +47,12 @@ class Suppress:
 
 @dataclass
 class ReductionTrace:
-    """The events of one or more reductions, in order, and the suppression
-    that made each replacement edge; ``extend`` appends a later reduction's."""
+    """The events of one or more reductions, in order, the next fresh edge
+    id, and the suppression that made each replacement edge."""
 
-    events: tuple
-    made_by: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        events, self.events, self.made_by = self.events, (), {}
-        self.extend(events)
-
-    def extend(self, events):
-        self.events += events
-        self.made_by.update((ev.replacement, ev) for ev in events if isinstance(ev, Suppress))
+    next_eid: int
+    events: list = field(default_factory=list)
+    made_by: dict = field(default_factory=dict, repr=False, compare=False)
 
     def original_edges(self, cycle):
         """One original edge per edge of a reduced cycle.
@@ -95,19 +88,20 @@ class ReductionTrace:
         return Cycle(tuple(verts), tuple(eids))
 
 
-def reduce_low_degree(g, *, seeds=None, next_eid=None):
+def reduce_low_degree(g, *, seeds=None, trace=None):
     """Strip degree <= 1 vertices and suppress two-neighbor degree-2 vertices.
 
     Degree-2 vertices whose both edges go to the same neighbor carry a
-    2-cycle and are left alone.  Returns the reduced graph and the trace.
+    2-cycle and are left alone.  Returns the reduced graph and ``trace``,
+    grown by this call's events (default: a new one from ``g.next_edge_id()``).
 
     Order contract: each step acts on the smallest-id vertex that qualifies
     in the current graph, deleting it (degree <= 1) or suppressing it into a
-    fresh edge (ids from ``next_eid``, default ``g.next_edge_id()``, upward
-    in step order).  The trace and the reduced graph, including its edge
-    order, depend on this.  Only ``seeds`` (default: all) may qualify at the
-    start: in a fully reduced graph less some vertices or edges, seeding
-    with their neighbours gives the full call's result.
+    fresh edge (ids from the trace's ``next_eid``, upward in step order).
+    The trace and the reduced graph, including its edge order, depend on
+    this.  Only ``seeds`` (default: all) may qualify at the start: in a
+    fully reduced graph less some vertices or edges, seeding with their
+    neighbours gives the full call's result.
 
     One pass with a heap of candidate vertices and a local degree table, set
     for every vertex (or the seeds) at the start and for others when first
@@ -128,8 +122,8 @@ def reduce_low_degree(g, *, seeds=None, next_eid=None):
     rows = adj.items() if seeds is None else [(v, adj[v]) for v in seeds if v in adj]
     deg = {v: sum(map(len, row.values())) for v, row in rows}
     heap = sorted(v for v, d in deg.items() if d <= 1 or (d == 2 and len(adj[v]) == 2))
-    events = []
-    next_eid = g.next_edge_id() if next_eid is None else next_eid
+    trace = ReductionTrace(g.next_edge_id()) if trace is None else trace
+    events, made_by, next_eid = trace.events, trace.made_by, trace.next_eid
     while heap:
         v = heapq.heappop(heap)
         row = adj.get(v)
@@ -143,7 +137,8 @@ def reduce_low_degree(g, *, seeds=None, next_eid=None):
             del ends[e1], ends[e2]
             rep = next_eid
             next_eid += 1
-            events.append(Suppress(v, e1, e2, rep, x, z))
+            made_by[rep] = ev = Suppress(v, e1, e2, rep, x, z)
+            events.append(ev)
             ends[rep] = (x, z) if x < z else (z, x)
             row_x, row_z = own(x), own(z)
             del row_x[v], row_z[v]
@@ -160,9 +155,10 @@ def reduce_low_degree(g, *, seeds=None, next_eid=None):
                 deg[u] = sum(map(len, adj[u].values()))
             if (d := deg[u]) <= 1 or (d == 2 and len(adj[u]) == 2):
                 heapq.heappush(heap, u)
-    if not events:
-        return g, ReductionTrace(())
-    return MultiGraph._derive(frozenset(adj), ends, adj), ReductionTrace(tuple(events))
+    trace.next_eid = next_eid
+    if len(adj) == len(parent):  # each event removes a vertex: none happened
+        return g, trace
+    return MultiGraph._derive(frozenset(adj), ends, adj), trace
 
 
 # -- the packing-or-covering driver ---------------------------------------------
@@ -176,7 +172,7 @@ def ep_cycles(g, k, mode, c=4.0):
     that reduced cycle from it: its vertices, or its edges, of which the
     cover takes one original edge each.  g is reduced in full once; later
     rounds reduce from the deleted cycle's neighbours, with fresh ids from
-    one counter.  When no round's cycle is longer than ceil(c*log2(3k)) the
+    one trace.  When no round's cycle is longer than ceil(c*log2(3k)) the
     cover obeys |cover| <= ceil(c*log2(3k)) * k; otherwise each longer one
     is recorded as a high-girth event and only the generic min-degree-3
     bound is claimed.
@@ -187,13 +183,10 @@ def ep_cycles(g, k, mode, c=4.0):
     harvested = []
     cover_elems = set()
     events = []
-    first_fresh = g.next_edge_id()
-    trace = ReductionTrace(())
+    trace = ReductionTrace(g.next_edge_id())
     residue, touched = g, None
     while True:
-        fresh_id = first_fresh + len(trace.made_by)
-        reduced, more = reduce_low_degree(residue, seeds=touched, next_eid=fresh_id)
-        trace.extend(more.events)
+        reduced, _ = reduce_low_degree(residue, seeds=touched, trace=trace)
         cyc = reduced.shortest_cycle()
         if cyc is None:
             break

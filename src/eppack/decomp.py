@@ -262,9 +262,6 @@ class NiceTreeDecomposition:
         bags = {t: node.bag for t, node in self.nodes.items()}
         return subtree_unions(children, postorder(children, self.root), bags)
 
-    def width(self):
-        return max((len(n.bag) for n in self.nodes.values()), default=0) - 1
-
     def audit(self):
         """Hard checks of the nice-form invariants; they run under -O too."""
 
@@ -483,27 +480,23 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
     need = k * q
     max_bag = max((len(b) for b in td.bags.values()), default=0)
 
-    witness_lists = []
     trace_lists = []
-    for det in component_detectors:
-        ws = det.enumerate(g)
+    packs = []  # per family: its traces' packing number and tree cover
+    first = {}  # (family, trace) -> the family's first witness with that trace
+    for i, det in enumerate(component_detectors):
         traces = []
-        for w in ws:
+        for w in det.enumerate(g):
             tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)
             if det.connected_patterns and not td.tree.induced(tr).is_connected():
                 raise InvariantViolated("trace of a connected witness not connected")
             traces.append(tr)
-        witness_lists.append(ws)
+            first.setdefault((i, tr), w)
         trace_lists.append(traces)
-
-    packs = []
-    for traces in trace_lists:
-        if not traces:
+        if traces:
+            packing, cover = gallai(SubtreeFamily(td.tree, tuple(traces)))
+            packs.append((len(packing), cover))
+        else:
             packs.append((0, None))
-            continue
-        fam = SubtreeFamily(td.tree, tuple(traces))
-        packing, cover = gallai(fam)
-        packs.append((len(packing), cover))
 
     deficient = next((i for i, (p, _) in enumerate(packs) if p < need), None)
     if deficient is None:
@@ -514,10 +507,7 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
         for j in range(k):
             vs, es = set(), set()
             for i in range(q):
-                # map the selected trace back to one of its witnesses
-                tr = selection[i][j]
-                idx = trace_lists[i].index(tr)
-                w = witness_lists[i][idx]
+                w = first[i, selection[i][j]]
                 vs |= w.vertices
                 es |= w.edges
             members.append(PatternWitness(frozenset(vs), frozenset(es)))

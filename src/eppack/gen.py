@@ -70,18 +70,11 @@ def random_subtree_family(n, count, max_size, seed):
     for _ in range(count):
         size = rng.randint(1, max_size)
         current = {rng.randrange(n)}
-        frontier = sorted(
-            u for v in current for u in tree.neighbors(v) if u not in current
-        )
-        while len(current) < size and frontier:
-            u = frontier[rng.randrange(len(frontier))]
-            current.add(u)
-            frontier = sorted(
-                w
-                for v in current
-                for w in tree.neighbors(v)
-                if w not in current
-            )
+        while len(current) < size:
+            frontier = sorted(u for v in current for u in tree.neighbors(v) if u not in current)
+            if not frontier:
+                break
+            current.add(frontier[rng.randrange(len(frontier))])
         members.append(frozenset(current))
     from .trees import SubtreeFamily
 

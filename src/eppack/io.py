@@ -55,16 +55,23 @@ def _ints(line, skip=0, count=None):
         raise InvalidParameter(f"non-integer token in line {line!r}") from None
 
 
+def _header(text, tag, count, name=None):
+    """The data lines of a text and the ``count`` counts of its ``tag`` line,
+    which must come first; no count may be negative."""
+    lines = _data_lines(text)
+    if not lines or not lines[0].startswith(tag):
+        raise InvalidParameter(f"missing {name or tag!r} header")
+    counts = _ints(lines[0], skip=len(tag.split()), count=count)
+    if min(counts) < 0:
+        raise InvalidParameter(f"negative count in line {lines[0]!r}")
+    return lines, counts
+
+
 # -- graphs ------------------------------------------------------------------
 
 
 def parse_gr(text):
-    lines = _data_lines(text)
-    if not lines or not lines[0].startswith("p gr"):
-        raise InvalidParameter("missing 'p gr' header")
-    n, m = _ints(lines[0], skip=2, count=2)
-    if n < 0 or m < 0:
-        raise InvalidParameter(f"negative count in line {lines[0]!r}")
+    lines, (n, m) = _header(text, "p gr", 2)
     if len(lines) - 1 != m:
         raise InvalidParameter(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = {}
@@ -104,10 +111,7 @@ def _parse_bags(text, kind, header_len):
     The header holds ``header_len`` integers, the first being the number of
     bags; then come ``b <bag> <vertex>...`` lines and tree-edge lines.
     """
-    lines = _data_lines(text)
-    if not lines or not lines[0].startswith(f"s {kind}"):
-        raise InvalidParameter(f"missing 's {kind}' header")
-    nbags = _ints(lines[0], skip=2, count=header_len)[0]
+    lines, (nbags, *_) = _header(text, f"s {kind}", header_len)
     bags = {}
     tree_edges = []
     for line in lines[1:]:
@@ -168,10 +172,7 @@ def read_tp(path):
 
 
 def parse_family(text):
-    lines = _data_lines(text)
-    if not lines or not lines[0].startswith("t "):
-        raise InvalidParameter("missing 't <n>' header")
-    (n,) = _ints(lines[0], skip=1, count=1)
+    lines, (n,) = _header(text, "t ", 1, "t <n>")
     tree_edges = []
     for line in lines[1 : n]:
         a, b = _ints(line, count=2)

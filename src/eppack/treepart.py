@@ -147,19 +147,13 @@ def inductive_edge_cover(g, tp, det, k):
             return EPOutcome(report, cover=cover)
         t, w = found
         bag = tp.bags[t]
-        cut = {
-            eid
-            for eid, (u, v) in residue.edges.items()
-            if u in bag and v in bag
-        }
         touched = [c for c in children[t] if subtree_vs[c] & w.vertices]
         if len(touched) > r * d:
             raise InvariantViolated("witness meets too many child subtrees")
-        for c in touched:
-            cbag = tp.bags[c]
-            for eid, (u, v) in residue.edges.items():
-                if (u in bag and v in cbag) or (v in bag and u in cbag):
-                    cut.add(eid)
+        # the bag-internal edges and the bundles to the touched children's bags
+        near = bag.union(*(tp.bags[c] for c in touched))
+        cut = {eid for v in bag for u in residue.neighbors(v) if u in near
+               for eid in residue.edges_between(v, u)}
         if len(cut) > r + d * r * r:
             raise InvariantViolated("per-round cut exceeds its bound")
         members.append(w)

@@ -67,14 +67,59 @@ def _max_disjoint(sets):
     return best
 
 
+def _pairs(g):
+    """g with one edge per adjacent pair, and the number of edges of each pair.
+
+    Parallel edges are interchangeable, so a cycle of three or more vertices
+    is a cycle of that simple graph, and any others are 2-cycles of one pair.
+    Enumerating g's cycles instead would list each long cycle once per
+    choice of parallel edges.
+    """
+    mult = {}
+    for u, v in g.edges.values():
+        mult[frozenset((u, v))] = mult.get(frozenset((u, v)), 0) + 1
+    return MultiGraph.from_edges(g.vertices, [tuple(sorted(p)) for p in mult]), mult
+
+
 def bf_vpack_cycles(g):
-    cycles = enumerate_cycles(g)
-    return _max_disjoint([c.vertex_set for c in cycles])
+    """Vertex-disjoint cycles: one vertex set per long cycle, and one 2-cycle
+    for each pair with parallel edges."""
+    simple, mult = _pairs(g)
+    sets = {c.vertex_set for c in enumerate_cycles(simple)}
+    sets |= {p for p, m in mult.items() if m > 1}
+    return _max_disjoint(sorted(sets, key=sorted))
 
 
 def bf_epack_cycles(g):
-    cycles = enumerate_cycles(g)
-    return _max_disjoint([c.edge_set for c in cycles])
+    """Edge-disjoint cycles: a pair of m parallel edges has room for m.
+
+    A long cycle takes one edge of each of its pairs, and a 2-cycle two of
+    one pair; since parallel edges are interchangeable, a packing is a
+    choice of how often to take each, within every pair's room (the 2-cycles
+    of a pair are its fixed id pairs (1st, 2nd), (3rd, 4th), ...).
+    """
+    simple, mult = _pairs(g)
+    uses = [{p: 2} for p, m in mult.items() if m > 1]
+    uses += [{frozenset(simple.endpoints(e)): 1 for e in c.edges}
+             for c in enumerate_cycles(simple)]
+    best = 0
+
+    def rec(i, room, acc):
+        nonlocal best
+        most = [min(room[p] // u for p, u in use.items()) for use in uses[i:]]
+        if acc + min(sum(most), sum(room.values()) // 2) <= best:
+            return
+        if i == len(uses):
+            best = acc
+            return
+        for times in range(most[0], -1, -1):
+            left = dict(room)
+            for p, u in uses[i].items():
+                left[p] -= times * u
+            rec(i + 1, left, acc + times)
+
+    rec(0, mult, 0)
+    return best
 
 
 def bf_min_hitting(universe, sets):
@@ -191,7 +236,7 @@ def ref_reduce_low_degree(g):
                     target = ("suppress", v, e1, e2)
                     break
         if target is None:
-            return h, ReductionTrace(tuple(events))
+            return h, ReductionTrace(next_eid, events)
         if target[0] == "drop":
             v = target[1]
             events.append(DeleteVertex(v, tuple(h.incident(v))))

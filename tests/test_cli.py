@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from eppack import io as eio
-from eppack.cli import main
+from eppack.cli import build_parser, main
 from eppack.decomp import min_fill_td
 from eppack.gadgets import MinorModel, thicken, thicken_subcubic, verify_minor_model
 from eppack.gen import gnp
@@ -35,6 +36,64 @@ def test_console_script_smoke():
     )
     assert out.returncode == 0
     assert "cycles" in out.stdout and "gadget" in out.stdout
+
+
+# Every option of every subcommand: its strings (a positional's name), default,
+# choices, required flag and nargs.  Options shared by several subcommands
+# are declared once in the parser, and must read the same in each.
+MODE = (("--mode",), "v", ("v", "e"), False, None)
+INPUT = (("-i", "--input"), None, None, True, None)
+OUTPUT = (("-o", "--output"), None, None, False, None)
+PATTERNS = (("--patterns",), "cycles", None, False, None)
+OPTION_TABLE = {
+    "cycles": {INPUT, (("-k",), None, None, True, None), MODE,
+               (("--c-const",), 4.0, None, False, None), OUTPUT},
+    "oracle": {
+        ("which", None, ("vpack-cycles", "vcover-cycles", "epack-cycles", "ecover-cycles",
+                         "pack-sub", "cover-sub"), True, None),
+        INPUT, (("--pattern",), "k3", None, False, None), MODE, OUTPUT,
+    },
+    "trees": {("action", None, ("gallai", "select"), True, None),
+              (("-i", "--input"), None, None, True, "+"), (("-k",), 1, None, False, None),
+              OUTPUT},
+    "decomp": {
+        ("action", None, ("validate", "nice", "separate", "cover", "disconnected"), True, None),
+        INPUT, (("-t", "--td"), None, None, True, None), PATTERNS,
+        (("-k",), 1, None, False, None), (("--ceiling-coeff",), None, None, False, None), OUTPUT,
+    },
+    "tp": {("action", None, ("validate", "width", "cover"), True, None), INPUT,
+           (("-t", "--tp"), None, None, True, None), PATTERNS, (("-k",), 1, None, False, None),
+           OUTPUT},
+    "gadget": {
+        ("action", None, ("gamma", "thicken", "route"), True, None),
+        (("-d",), 4, None, False, None), (("-k",), 3, None, False, None),
+        (("--pattern",), "k5", None, False, None), (("--subcubic",), False, None, False, 0),
+        (("--minor",), False, None, False, 0), (("-i", "--input"), None, None, False, None),
+        (("-x",), "", None, False, None), OUTPUT,
+    },
+    "fuzz": {("target", None, ("tuza", "jones"), True, None),
+             (("--trials",), 100, None, False, None), (("--max-n",), 9, None, False, None),
+             (("--seed",), 0, None, False, None)},
+    "bench": {MODE, (("--k-max",), 4, None, False, None), (("-n",), 20, None, False, None),
+              (("-p",), 0.3, None, False, None), (("--seed",), 0, None, False, None), OUTPUT},
+    "verify": {INPUT, (("-c", "--certificate"), None, None, True, None), PATTERNS},
+}
+
+
+def _option_row(action):
+    choices = None if action.choices is None else tuple(action.choices)
+    return (tuple(action.option_strings) or action.dest, action.default, choices,
+            action.required, action.nargs)
+
+
+def test_option_table():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTION_TABLE)
+    for name, table in OPTION_TABLE.items():
+        rows = [_option_row(a) for a in sub.choices[name]._actions
+                if not isinstance(a, argparse._HelpAction)]
+        assert len(rows) == len(table) and set(rows) == table, name
 
 
 def test_cycles_exit_codes(tmp_path, triangle_file):
@@ -355,8 +414,11 @@ MALFORMED = {
     "gr-negative-count": ("cycles", "p gr -1 0\n"),
     "td-short-header": ("td", "s td 1 2\nb 1 1 2 3\n"),
     "td-bag-token": ("td", "s td 1 3 3\nb 1 1 x 3\n"),
+    "td-negative-count": ("td", "s td -1 0 3\n"),
     "tp-short-header": ("tp", "s tp 1\nb 1 1 2 3\n"),
+    "tp-negative-count": ("tp", "s tp -1 3\n"),
     "family-edge-token": ("family", "t 2\n1 x\n1\n"),
+    "family-negative-count": ("family", "t -1\n"),
     "cert-missing-keys": ("verify", '{"kind":"packing"}'),
     "cert-wrong-type": ("verify", '{"kind":"cover","mode":"v","elements":[[1]]}'),
     "cert-not-json": ("verify", "not json"),

@@ -111,12 +111,14 @@ def test_ep_cycles_cover_within_its_claims(mode):
 def test_every_round_is_reduced_with_fresh_ids(monkeypatch, mode):
     # ep_cycles reduces g once and then only around each deleted cycle: every
     # round's graph must still be fully reduced, and no fresh id may repeat
-    # or reuse one of g's
+    # or reuse one of g's; each round appends its events to one shared trace
     rounds = []
 
     def recording(h, **kw):
+        before = len(kw["trace"].events)
         out = reduce_low_degree(h, **kw)
-        rounds.append((out[0], out[1].events))
+        assert out[1] is kw["trace"]
+        rounds.append((out[0], out[1].events[before:]))
         return out
 
     monkeypatch.setattr(cycles, "reduce_low_degree", recording)

@@ -187,7 +187,7 @@ def test_to_nice_preserves_width_and_validity():
         td = min_fill_td(g)
         ntd = to_nice(g, td)
         ntd.audit()
-        assert ntd.width() == td.width()
+        assert ntd.to_td().width() == td.width()
         assert validate_td(g, ntd.to_td())
         assert ntd.nodes[ntd.root].bag == frozenset()
 
@@ -310,7 +310,7 @@ def test_deep_trees_need_no_recursion():
     )
     td = min_fill_td(g)
     ntd = to_nice(g, td)
-    assert ntd.width() == td.width() == 2
+    assert ntd.to_td().width() == td.width() == 2
     post = ntd.postorder()
     pos = {t: i for i, t in enumerate(post)}
     assert len(pos) == len(ntd.nodes) and post[-1] == ntd.root

@@ -124,6 +124,27 @@ def test_family_round_trip():
     assert eio.format_family(back) == text
 
 
+# The header errors of the bag and family formats, worded as for .gr: a
+# negative count is an error, not an empty decomposition or family.
+HEADER_ERRORS = {
+    "td-missing-header": (eio.parse_td, "b 1 1\n", "missing 's td' header"),
+    "td-negative-count": (eio.parse_td, "s td -1 0 3\n", "negative count in line 's td -1 0 3'"),
+    "tp-missing-header": (eio.parse_tp, "s td 1 3\n", "missing 's tp' header"),
+    "tp-negative-count": (eio.parse_tp, "s tp -1 3\n", "negative count in line 's tp -1 3'"),
+    "family-missing-header": (eio.parse_family, "1 2\n", "missing 't <n>' header"),
+    "family-negative-count": (eio.parse_family, "t -1\n", "negative count in line 't -1'"),
+    "family-header-token": (eio.parse_family, "t x\n", "non-integer token in line 't x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_ERRORS))
+def test_header_errors(case):
+    parse, text, message = HEADER_ERRORS[case]
+    with pytest.raises(InvalidParameter) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_certificate_round_trip(tmp_path):
     w = PatternWitness(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
     p = PackingCertificate(Mode.VERTEX, (w,))

@@ -25,7 +25,7 @@ from helpers import (
     ref_shortest_cycle,
 )
 
-from eppack.cycles import reduce_low_degree
+from eppack.cycles import ReductionTrace, reduce_low_degree
 from eppack.gen import gnp
 from eppack.graph import Cycle, Mode, MultiGraph
 from eppack.iso import enumerate_cycles
@@ -69,8 +69,8 @@ def assert_seeded_reduction_is_exact(h, xs, mode):
         touched = {v for e in xs for v in h.endpoints(e)}
     residue = h.delete(xs, mode)
     fresh = h.next_edge_id() + 5
-    seeded, s_trace = reduce_low_degree(residue, seeds=touched, next_eid=fresh)
-    full, f_trace = reduce_low_degree(residue, next_eid=fresh)
+    seeded, s_trace = reduce_low_degree(residue, seeds=touched, trace=ReductionTrace(fresh))
+    full, f_trace = reduce_low_degree(residue, trace=ReductionTrace(fresh))
     assert s_trace == f_trace
     assert list(seeded.edges.items()) == list(full.edges.items())
     assert seeded.vertices == full.vertices
