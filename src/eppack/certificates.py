@@ -208,10 +208,12 @@ def cycles_detector():
     def enumerate_witnesses(g):
         return [PatternWitness.from_cycle(c) for c in enumerate_cycles(g)]
 
-    def exact_vpack(g):
-        from . import oracles
+    def exact_vpack(g):  # the value only: search the reduced graph
+        from . import cycles, oracles
 
-        return oracles.exact_vpack_cycles(g).value
+        if g.is_forest():
+            return 0
+        return oracles.exact_vpack_cycles(cycles.reduce_low_degree(g)[0]).value
 
     return PatternDetector(
         "cycles",

@@ -19,7 +19,7 @@ from .errors import (
     InvariantViolated,
     OracleFailure,
 )
-from .graph import Mode, MultiGraph, postorder, subtree_unions
+from .graph import Mode, MultiGraph, postorder
 from .trees import SubtreeFamily, gallai, rs_selection
 
 EXACT_TD_MAX_N = 15  # the subset DP takes 2^n memory and time
@@ -256,12 +256,6 @@ class NiceTreeDecomposition:
     def postorder(self):
         return postorder(self._children(), self.root)
 
-    def subtree_vertices(self):
-        """id -> union of bags in the node's subtree."""
-        children = self._children()
-        bags = {t: node.bag for t, node in self.nodes.items()}
-        return subtree_unions(children, postorder(children, self.root), bags)
-
     def audit(self):
         """Hard checks of the nice-form invariants; they run under -O too."""
 
@@ -373,41 +367,53 @@ class Separation:
 
 
 def balanced_separation(g, ntd, pack_oracle):
-    """Separation of order <= width+1 with both strict sides' packing <= 2k/3."""
+    """Separation of order <= width+1 with both strict sides' packing <= 2k/3.
+
+    k = pack_oracle(g).  Split at the first postorder node t whose below(t),
+    its subtree's vertices outside its bag, packs more than 2k/3 (Robertson
+    & Seymour, Graph Minors V): at a forget node take its child, at a join
+    node the child that packs more, the smaller id on a tie.  The numbers
+    are read off the nice form: a base node's set is empty, an introduce
+    node's is its child's, and a join node's children's sets are disjoint
+    and separated by the shared bag, so their numbers add.  A forget node
+    adds v; with fewer than two edges into the set v lies on no witness,
+    and otherwise the oracle is asked.  So pack_oracle must count disjoint
+    connected witnesses with every witness vertex on two witness edges:
+    cycles are such, and the cycle rank adds up the same way.
+    """
     try:
         k = pack_oracle(g)
     except EPError as exc:  # e.g. a budget ran out; a bug in the oracle propagates
         raise OracleFailure(str(exc)) from exc
     if k == 0:
         return Separation(frozenset(g.vertices), frozenset())
-    sub_vs = ntd.subtree_vertices()
-    cache = {}
-
-    def pack_of(vs):
-        if vs not in cache:
-            cache[vs] = pack_oracle(g.induced(vs))
-        return cache[vs]
-
-    def minus(t):
-        return frozenset(sub_vs[t] - ntd.nodes[t].bag)
-
-    chosen = None
+    below, pack = {}, {}  # node -> below(t), and its packing number
     for t in ntd.postorder():
-        if 3 * pack_of(minus(t)) > 2 * k:
-            chosen = t
+        node = ntd.nodes[t]
+        kids = node.children
+        if node.kind == "base":
+            below[t], pack[t] = frozenset(), 0
+        elif node.kind == "introduce":
+            below[t], pack[t] = below[kids[0]], pack[kids[0]]
+        elif node.kind == "join":
+            below[t] = below[kids[0]] | below[kids[1]]
+            pack[t] = pack[kids[0]] + pack[kids[1]]
+        else:  # forget
+            v = node.vertex
+            below[t] = vs = below[kids[0]] | {v}
+            into = sum(len(g.edges_between(v, u)) for u in g.neighbors(v) if u in vs)
+            pack[t] = pack[kids[0]] if into < 2 else pack_oracle(g.induced(vs))
+        if 3 * pack[t] > 2 * k:
             break
-    if chosen is None:
+    else:
         raise InvariantViolated("root must satisfy the packing threshold")
-    node = ntd.nodes[chosen]
     if node.kind == "forget":
         (u,) = node.children
     elif node.kind == "join":
-        u = max(node.children, key=lambda c: (pack_of(minus(c)), -c))
+        u = max(node.children, key=lambda c: (pack[c], -c))
     else:
         raise InvariantViolated(f"threshold node of kind {node.kind}")
-    a = frozenset(sub_vs[u])
-    b = frozenset(g.vertices - minus(u))
-    sep = Separation(a, b)
+    sep = Separation(below[u] | ntd.nodes[u].bag, frozenset(g.vertices - below[u]))
     if not sep.validate(g):
         raise InvariantViolated("separation invariant violated")
     return sep
@@ -435,7 +441,8 @@ def cover_connected_bounded_tw(g, det, ceiling, td):
     The detector's exact vertex-packing oracle gives the packing numbers.
     """
     # every graph solved below is an induced subgraph of g, so its vertex
-    # set names it; balanced_separation re-asks for h and for its parts
+    # set names it; balanced_separation asks again for h, and a side of its
+    # separation may be a set it asked for at a forget node
     packs = {}
 
     def vpack(h):
@@ -480,34 +487,33 @@ def disconnected_pattern_ep(g, td, component_detectors, k):
     need = k * q
     max_bag = max((len(b) for b in td.bags.values()), default=0)
 
-    trace_lists = []
+    firsts = []  # per family: distinct trace -> first witness, in first-seen order
     packs = []  # per family: its traces' packing number and tree cover
-    first = {}  # (family, trace) -> the family's first witness with that trace
-    for i, det in enumerate(component_detectors):
-        traces = []
+    for det in component_detectors:
+        first = {}
         for w in det.enumerate(g):
-            tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)
-            if det.connected_patterns and not td.tree.induced(tr).is_connected():
-                raise InvariantViolated("trace of a connected witness not connected")
-            traces.append(tr)
-            first.setdefault((i, tr), w)
-        trace_lists.append(traces)
-        if traces:
-            packing, cover = gallai(SubtreeFamily(td.tree, tuple(traces)))
+            first.setdefault(frozenset(t for t, b in td.bags.items() if b & w.vertices), w)
+        if det.connected_patterns and any(
+            not td.tree.induced(tr).is_connected() for tr in first
+        ):
+            raise InvariantViolated("trace of a connected witness not connected")
+        firsts.append(first)
+        if first:
+            packing, cover = gallai(SubtreeFamily(td.tree, tuple(first)))
             packs.append((len(packing), cover))
         else:
             packs.append((0, None))
 
     deficient = next((i for i, (p, _) in enumerate(packs) if p < need), None)
     if deficient is None:
-        selection = rs_selection(td.tree, trace_lists, k)
+        selection = rs_selection(td.tree, firsts, k)
         if selection is None:
             raise InvariantViolated("selection must exist when every family is rich")
         members = []
         for j in range(k):
             vs, es = set(), set()
             for i in range(q):
-                w = first[i, selection[i][j]]
+                w = firsts[i][selection[i][j]]
                 vs |= w.vertices
                 es |= w.edges
             members.append(PatternWitness(frozenset(vs), frozenset(es)))

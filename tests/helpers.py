@@ -19,14 +19,15 @@ from eppack.certificates import (
     PatternWitness,
     QualityReport,
 )
-from eppack.decomp import _td_from_elimination
+from eppack.decomp import Separation, _td_from_elimination, validate_td
 from eppack.graph import Cycle, Mode, MultiGraph, postorder, subtree_unions
-from eppack.errors import BudgetExceeded
+from eppack.errors import BudgetExceeded, InvalidDecomposition, InvariantViolated
 from eppack.gadgets import Gadget, thicken
 from eppack.iso import ENUMERATION_CAP, enumerate_cycles
 from eppack.oracles import ExactResult
 from eppack.rng import SplitMix64
 from eppack.treepart import tp_width
+from eppack.trees import SubtreeFamily, gallai, rs_selection
 
 
 def bf_vcover_cycles(g):
@@ -726,6 +727,95 @@ def ref_inductive_edge_cover(g, tp, det, k):
         residue = residue.delete_edges(cut)
     packing = PackingCertificate(Mode.EDGE, tuple(members))
     return EPOutcome(QualityReport(bound_claimed=k, hypotheses_held=True), packing=packing)
+
+
+# -- reference separations and disconnected patterns ------------------------------
+#
+# ``balanced_separation`` as it was: the oracle asked, through a cache keyed
+# by vertex set, for every postorder node's set below(t) (its subtree's
+# vertices outside its bag) until one packs more than 2k/3.  The package
+# reads most of these numbers off the nice form.  ``disconnected_pattern_ep``
+# as it was: every witness's trace handed to gallai and rs_selection, one
+# copy per witness.  The package must return the same separations and
+# outcomes.
+
+
+def ref_subtree_vertices(ntd):
+    """Nice node -> the union of the bags in its subtree."""
+    children = {t: node.children for t, node in ntd.nodes.items()}
+    bags = {t: node.bag for t, node in ntd.nodes.items()}
+    return subtree_unions(children, postorder(children, ntd.root), bags)
+
+
+def ref_balanced_separation(g, ntd, pack_oracle):
+    k = pack_oracle(g)
+    if k == 0:
+        return Separation(frozenset(g.vertices), frozenset())
+    sub_vs = ref_subtree_vertices(ntd)
+    cache = {}
+
+    def pack_of(vs):
+        if vs not in cache:
+            cache[vs] = pack_oracle(g.induced(vs))
+        return cache[vs]
+
+    def minus(t):
+        return frozenset(sub_vs[t] - ntd.nodes[t].bag)
+
+    node = next(ntd.nodes[t] for t in ntd.postorder() if 3 * pack_of(minus(t)) > 2 * k)
+    if node.kind == "forget":
+        (u,) = node.children
+    else:
+        u = max(node.children, key=lambda c: (pack_of(minus(c)), -c))
+    return Separation(frozenset(sub_vs[u]), frozenset(g.vertices - minus(u)))
+
+
+def ref_disconnected_pattern_ep(g, td, component_detectors, k):
+    if not validate_td(g, td):
+        raise InvalidDecomposition("invalid decomposition")
+    q = len(component_detectors)
+    need = k * q
+    max_bag = max((len(b) for b in td.bags.values()), default=0)
+    trace_lists = []
+    packs = []
+    first = {}
+    for i, det in enumerate(component_detectors):
+        traces = []
+        for w in det.enumerate(g):
+            tr = frozenset(t for t, b in td.bags.items() if b & w.vertices)
+            if det.connected_patterns and not td.tree.induced(tr).is_connected():
+                raise InvariantViolated("trace of a connected witness not connected")
+            traces.append(tr)
+            first.setdefault((i, tr), w)
+        trace_lists.append(traces)
+        if traces:
+            packing, cover = gallai(SubtreeFamily(td.tree, tuple(traces)))
+            packs.append((len(packing), cover))
+        else:
+            packs.append((0, None))
+    deficient = next((i for i, (p, _) in enumerate(packs) if p < need), None)
+    if deficient is None:
+        selection = rs_selection(td.tree, trace_lists, k)
+        members = []
+        for j in range(k):
+            vs, es = set(), set()
+            for i in range(q):
+                w = first[i, selection[i][j]]
+                vs |= w.vertices
+                es |= w.edges
+            members.append(PatternWitness(frozenset(vs), frozenset(es)))
+        packing = PackingCertificate(Mode.VERTEX, tuple(members))
+        return EPOutcome(QualityReport(bound_claimed=k, hypotheses_held=True), packing=packing)
+    _, tree_cover = packs[deficient]
+    elements = frozenset()
+    if tree_cover is not None:
+        elements = frozenset().union(*(td.bags[t] for t in tree_cover.elements))
+    report = QualityReport(
+        bound_claimed=max_bag * (need - 1),
+        hypotheses_held=True,
+        events=(("deficient-family", deficient),),
+    )
+    return EPOutcome(report, cover=CoverCertificate(Mode.VERTEX, elements))
 
 
 # -- reference exact feedback vertex set ---------------------------------------------

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     multigraphs,
+    ref_balanced_separation,
+    ref_disconnected_pattern_ep,
     ref_exact_elimination_td,
     ref_min_fill_order,
     ref_subset_dp_td,
+    ref_subtree_vertices,
     ref_validate_td,
 )
 
@@ -266,7 +269,7 @@ def test_balanced_separation_at_a_join_node():
     g = gnp(12, 0.3, 373)
     ntd = to_nice(g, min_fill_td(g))
     k = det.exact_vpack(g)
-    sub_vs = ntd.subtree_vertices()
+    sub_vs = ref_subtree_vertices(ntd)
 
     def pack_below(t):
         return det.exact_vpack(g.induced(sub_vs[t] - ntd.nodes[t].bag))
@@ -282,6 +285,59 @@ def test_balanced_separation_at_a_join_node():
     assert sep.validate(g)
     for side in (sep.a - sep.b, sep.b - sep.a):
         assert 3 * det.exact_vpack(g.induced(side)) <= 2 * k
+
+
+def _cycle_rank(h):
+    return h.m - h.n + len(h.components())
+
+
+def _same_separation(g, ntd, oracle):
+    """The reference's (a, b), with the oracle asked first for g and then
+    only at forget nodes, in postorder, whose vertex has at least two edges
+    into the node's set below(t): base, introduce and join nodes never ask.
+    The reference asks at least as often."""
+    asked, ref_asked = [], []
+
+    def counting(calls):
+        def pack(h):
+            calls.append(h.vertices)
+            return oracle(h)
+
+        return pack
+
+    sep = balanced_separation(g, ntd, counting(asked))
+    ref = ref_balanced_separation(g, ntd, counting(ref_asked))
+    assert (sep.a, sep.b) == (ref.a, ref.b)
+    assert len(asked) <= len(ref_asked)
+    sub_vs = ref_subtree_vertices(ntd)
+    forgets = []
+    for t in ntd.postorder():
+        node = ntd.nodes[t]
+        below = sub_vs[t] - node.bag
+        if node.kind == "forget" and g.induced(below).degree(node.vertex) >= 2:
+            forgets.append(below)
+    assert asked[0] == g.vertices
+    assert asked[1:] == forgets[: len(asked) - 1]
+
+
+def test_balanced_separation_matches_reference_on_fixed_seeds():
+    det = cycles_detector()
+    for seed in range(45):
+        g = gnp(6 + seed % 9, 0.2 + 0.01 * (seed % 20), seed)
+        for td in (min_fill_td(g), exact_elimination_td(g)):
+            ntd = to_nice(g, td)
+            _same_separation(g, ntd, det.exact_vpack)
+            _same_separation(g, ntd, _cycle_rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=10, max_pairs=14))
+@example(MultiGraph.theta(3))
+@example(MultiGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+def test_balanced_separation_matches_reference(g):
+    ntd = to_nice(g, min_fill_td(g))
+    _same_separation(g, ntd, cycles_detector().exact_vpack)
+    _same_separation(g, ntd, _cycle_rank)
 
 
 def test_balanced_separation_wraps_only_package_errors():
@@ -316,13 +372,10 @@ def test_deep_trees_need_no_recursion():
     assert len(pos) == len(ntd.nodes) and post[-1] == ntd.root
     assert all(pos[c] < pos[t] for t, node in ntd.nodes.items() for c in node.children)
 
-    def cycle_rank(h):
-        return h.m - h.n + len(h.components())
-
-    sep = balanced_separation(g, ntd, cycle_rank)
+    sep = balanced_separation(g, ntd, _cycle_rank)
     assert sep.validate(g) and sep.order <= td.width() + 1
     for side in (sep.a - sep.b, sep.b - sep.a):
-        assert 3 * cycle_rank(g.induced(side)) <= 2
+        assert 3 * _cycle_rank(g.induced(side)) <= 2
 
 
 def test_cover_connected_bounded_tw():
@@ -361,6 +414,32 @@ def test_disconnected_pattern_ep_both_sides():
     max_bag = max(len(b) for b in td.bags.values())
     assert out.report.bound_claimed == max_bag * (3 - 1)
     assert len(out.cover) <= out.report.bound_claimed
+
+
+def test_disconnected_pattern_ep_matches_reference():
+    # each distinct trace reaches gallai and rs_selection once, where the
+    # reference hands them one copy per witness: the same packings, covers
+    # and reports
+    dets = builtin_detectors()
+    families = (
+        [dets["triangles"]],
+        [dets["triangles"], dets["cycles"]],
+        [dets["cycles"], dets["k3"]],
+    )
+    chain = MultiGraph.from_edges(  # six triangles in a row
+        range(18),
+        [(a + i, a + j) for a in range(0, 18, 3) for i, j in ((0, 1), (1, 2), (0, 2))]
+        + [(a + 2, a + 3) for a in range(0, 15, 3)],
+    )
+    packings = 0
+    for g in [gnp(6 + seed % 5, 0.3 + 0.02 * (seed % 9), seed) for seed in range(20)] + [chain]:
+        td = min_fill_td(g)
+        for fams in families:
+            for k in (1, 2, 3):
+                out = disconnected_pattern_ep(g, td, fams, k)
+                assert out == ref_disconnected_pattern_ep(g, td, fams, k)
+                packings += out.packing is not None
+    assert packings >= 20
 
 
 def test_disconnected_two_families():

@@ -147,6 +147,35 @@ def test_vpack_matches_reference_on_fixed_seeds():
         _same_vpack(random_multigraph(rng, max_n=10, max_m=18))
 
 
+# the detector's value-only packer searches reduce_low_degree(g), or
+# answers 0 on a forest; exact_vpack_cycles keeps searching g itself
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=9, max_pairs=12))
+@example(MultiGraph.path_graph(6))
+@example(MultiGraph(range(3), {}))
+@example(MultiGraph.from_edges(range(2), [(0, 1), (0, 1)]))
+@example(MultiGraph.theta(3))
+@example(MultiGraph.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+@example(MultiGraph.from_edges(range(5), [(0, 1), (1, 2), (0, 3), (3, 2), (0, 4), (4, 2)]))
+@example(MultiGraph.from_edges(
+    range(9),
+    [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 5), (6, 8)],
+))
+def test_detector_vpack_on_the_reduced_graph(g):
+    # the last three examples reduce to parallel pairs: three 0-2 edges
+    # from a 4-cycle with a chord and from a subdivided theta(3), and two
+    # pairs from two chorded 4-cycles joined by a path
+    assert cycles_detector().exact_vpack(g) == ref_exact_vpack_cycles(g).value == bf_vpack_cycles(g)
+
+
+def test_detector_vpack_on_the_reduced_graph_on_fixed_seeds():
+    det = cycles_detector()
+    rng = SplitMix64(808)
+    for _ in range(150):
+        g = random_multigraph(rng, max_n=10, max_m=16)
+        assert det.exact_vpack(g) == exact_vpack_cycles(g).value == bf_vpack_cycles(g)
+
+
 def _same_vcover(g):
     got, ref = exact_vcover_cycles(g), ref_exact_vcover_cycles(g)
     assert got.value == ref.value
