@@ -30,29 +30,21 @@ def short_cycle_threshold(q, c):
 
 
 @dataclass(slots=True)
-class DeleteVertex:
-    vertex: int
-    edges: tuple
-
-
-@dataclass(slots=True)
 class Suppress:
     vertex: int
     edge_a: int  # {x, vertex}
     edge_b: int  # {vertex, z}
-    replacement: int  # fresh edge {x, z}
     x: int
     z: int
 
 
 @dataclass
 class ReductionTrace:
-    """The events of one or more reductions, in order, the next fresh edge
-    id, and the suppression that made each replacement edge."""
+    """The next fresh edge id of one or more reductions, and the suppression
+    that made each replacement edge, keyed by it in the order made."""
 
     next_eid: int
-    events: list = field(default_factory=list)
-    made_by: dict = field(default_factory=dict, repr=False, compare=False)
+    made_by: dict = field(default_factory=dict)
 
     def original_edges(self, cycle):
         """One original edge per edge of a reduced cycle.
@@ -93,7 +85,8 @@ def reduce_low_degree(g, *, seeds=None, trace=None):
 
     Degree-2 vertices whose both edges go to the same neighbor carry a
     2-cycle and are left alone.  Returns the reduced graph and ``trace``,
-    grown by this call's events (default: a new one from ``g.next_edge_id()``).
+    grown by this call's suppressions (default: a new one from
+    ``g.next_edge_id()``).
 
     Order contract: each step acts on the smallest-id vertex that qualifies
     in the current graph, deleting it (degree <= 1) or suppressing it into a
@@ -123,7 +116,7 @@ def reduce_low_degree(g, *, seeds=None, trace=None):
     deg = {v: sum(map(len, row.values())) for v, row in rows}
     heap = sorted(v for v, d in deg.items() if d <= 1 or (d == 2 and len(adj[v]) == 2))
     trace = ReductionTrace(g.next_edge_id()) if trace is None else trace
-    events, made_by, next_eid = trace.events, trace.made_by, trace.next_eid
+    made_by, next_eid = trace.made_by, trace.next_eid
     while heap:
         v = heapq.heappop(heap)
         row = adj.get(v)
@@ -137,15 +130,13 @@ def reduce_low_degree(g, *, seeds=None, trace=None):
             del ends[e1], ends[e2]
             rep = next_eid
             next_eid += 1
-            made_by[rep] = ev = Suppress(v, e1, e2, rep, x, z)
-            events.append(ev)
+            made_by[rep] = Suppress(v, e1, e2, x, z)
             ends[rep] = (x, z) if x < z else (z, x)
             row_x, row_z = own(x), own(z)
             del row_x[v], row_z[v]
             row_x[z] = row_x.get(z, []) + [rep]  # rep tops every id: still ascending
             row_z[x] = row_z.get(x, []) + [rep]
         else:
-            events.append(DeleteVertex(v, tuple(*row.values())))  # () or its one edge
             for u, (e,) in row.items():  # at most one
                 del ends[e], own(u)[v]
                 if u in deg:
@@ -156,7 +147,7 @@ def reduce_low_degree(g, *, seeds=None, trace=None):
             if (d := deg[u]) <= 1 or (d == 2 and len(adj[u]) == 2):
                 heapq.heappush(heap, u)
     trace.next_eid = next_eid
-    if len(adj) == len(parent):  # each event removes a vertex: none happened
+    if len(adj) == len(parent):  # each step removes a vertex: none happened
         return g, trace
     return MultiGraph._derive(frozenset(adj), ends, adj), trace
 

@@ -335,10 +335,7 @@ def to_nice(g, td):
         while len(tops) > 1:
             tops = [new("join", bag, (tops[0], tops[1]))] + tops[2:]
         top[t] = adapt(tops[0], bag, parent_bag[t])
-    root = top[troot]
-    if nodes[root].bag != frozenset():
-        raise InvariantViolated("root bag not empty")
-    ntd = NiceTreeDecomposition(nodes, root)
+    ntd = NiceTreeDecomposition(nodes, top[troot])
     ntd.audit()
     return ntd
 
@@ -377,9 +374,10 @@ def balanced_separation(g, ntd, pack_oracle):
     node's is its child's, and a join node's children's sets are disjoint
     and separated by the shared bag, so their numbers add.  A forget node
     adds v; with fewer than two edges into the set v lies on no witness,
-    and otherwise the oracle is asked.  So pack_oracle must count disjoint
-    connected witnesses with every witness vertex on two witness edges:
-    cycles are such, and the cycle rank adds up the same way.
+    once the set is all of g its number is k, and otherwise the oracle is
+    asked.  So pack_oracle must count disjoint connected witnesses with
+    every witness vertex on two witness edges: cycles are such, and the
+    cycle rank adds up the same way.
     """
     try:
         k = pack_oracle(g)
@@ -402,7 +400,8 @@ def balanced_separation(g, ntd, pack_oracle):
             v = node.vertex
             below[t] = vs = below[kids[0]] | {v}
             into = sum(len(g.edges_between(v, u)) for u in g.neighbors(v) if u in vs)
-            pack[t] = pack[kids[0]] if into < 2 else pack_oracle(g.induced(vs))
+            pack[t] = (pack[kids[0]] if into < 2 else k if len(vs) == g.n
+                       else pack_oracle(g.induced(vs)))
         if 3 * pack[t] > 2 * k:
             break
     else:

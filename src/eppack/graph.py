@@ -172,20 +172,11 @@ class MultiGraph:
     def edges_between(self, u, v):
         return sorted(self._adj.get(u, {}).get(v, ()))
 
-    def incident(self, v):
-        out = []
-        for ids in self._adj[v].values():
-            out.extend(ids)
-        return sorted(out)
-
     def degree(self, v):
         return sum(map(len, self._adj[v].values()))
 
     def degrees(self):
         return {v: sum(map(len, row.values())) for v, row in self._adj.items()}
-
-    def next_vertex_id(self):
-        return max(self._vertices, default=-1) + 1
 
     def next_edge_id(self):
         return max(self._edges, default=-1) + 1

@@ -70,19 +70,15 @@ def bfs_layer_tp(g):
         return TreePartition(tree, 0, {0: frozenset()})
     bags = {}
     edges = []
-    prev_last = None
-    for comp in g.components():
-        start = min(comp)
+    seen = set()
+    for start in sorted(g.vertices):  # one BFS per component, from its least vertex
+        if start in seen:
+            continue
+        first = len(bags)
         layer = {start}
-        seen = {start}
-        first = None
+        seen.add(start)
         while layer:
-            nid = len(bags)
-            bags[nid] = frozenset(layer)
-            if first is None:
-                first = nid
-            else:
-                edges.append((nid - 1, nid))
+            bags[len(bags)] = frozenset(layer)
             nxt = set()
             for v in layer:
                 for u in g.neighbors(v):
@@ -90,9 +86,9 @@ def bfs_layer_tp(g):
                         seen.add(u)
                         nxt.add(u)
             layer = nxt
-        if prev_last is not None:
-            edges.append((prev_last, first))
-        prev_last = len(bags) - 1
+        edges += [(t - 1, t) for t in range(first + 1, len(bags))]
+        if first:
+            edges.append((first - 1, first))  # from the last component's last layer
     tree = MultiGraph.from_edges(range(len(bags)), edges)
     return TreePartition(tree, 0, bags)
 

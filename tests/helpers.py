@@ -10,7 +10,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from eppack.cycles import DeleteVertex, ReductionTrace, Suppress
+from eppack.cycles import ReductionTrace, Suppress
 from eppack.certificates import (
     CoverCertificate,
     Diagnostics,
@@ -220,7 +220,7 @@ def ref_canonical_cycle(vertices, edges):
 
 
 def ref_reduce_low_degree(g):
-    events = []
+    made_by = {}
     h = g
     next_eid = g.next_edge_id()
     while True:
@@ -230,18 +230,14 @@ def ref_reduce_low_degree(g):
             if degs[v] <= 1:
                 target = ("drop", v)
                 break
-            if degs[v] == 2:
-                e1, e2 = h.incident(v)
-                nbrs = h.neighbors(v)
-                if len(nbrs) == 2:
-                    target = ("suppress", v, e1, e2)
-                    break
+            if degs[v] == 2 and len(nbrs := h.neighbors(v)) == 2:
+                (e1,), (e2,) = (h.edges_between(v, u) for u in nbrs)
+                target = ("suppress", v, min(e1, e2), max(e1, e2))
+                break
         if target is None:
-            return h, ReductionTrace(next_eid, events)
+            return h, ReductionTrace(next_eid, made_by)
         if target[0] == "drop":
-            v = target[1]
-            events.append(DeleteVertex(v, tuple(h.incident(v))))
-            h = h.delete_vertices({v})
+            h = h.delete_vertices({target[1]})
         else:
             _, v, e1, e2 = target
             a, b = h.endpoints(e1)
@@ -250,7 +246,7 @@ def ref_reduce_low_degree(g):
             z = a if b == v else b
             rep = next_eid
             next_eid += 1
-            events.append(Suppress(v, e1, e2, rep, x, z))
+            made_by[rep] = Suppress(v, e1, e2, x, z)
             edges = {
                 eid: uv for eid, uv in h.edges.items() if eid not in (e1, e2)
             }
@@ -319,19 +315,20 @@ def ref_shortest_cycle(g):
 
 
 def replay(trace, g):
-    """Reproduce the reduced graph from the original by replaying ``trace``."""
-    h = g
-    for ev in trace.events:
-        if isinstance(ev, DeleteVertex):
-            h = h.delete_vertices({ev.vertex})
-        else:
-            edges = {
-                eid: uv
-                for eid, uv in h.edges.items()
-                if eid not in (ev.edge_a, ev.edge_b)
-            }
-            edges[ev.replacement] = (ev.x, ev.z)
-            h = type(h)(h.vertices - {ev.vertex}, edges)
+    """Reproduce the reduced graph from the original and ``trace``: make the
+    suppressions in ``made_by`` order, then peel vertices of degree <= 1.
+
+    A deletion only removes edges at the deleted vertex, which no later
+    suppression names, and suppressing keeps every other vertex's degree; so
+    the deletions can all come last, and peeling is order-free."""
+    vertices, edges = set(g.vertices), dict(g.edges)
+    for rep, ev in trace.made_by.items():
+        del edges[ev.edge_a], edges[ev.edge_b]
+        vertices.remove(ev.vertex)
+        edges[rep] = (ev.x, ev.z)
+    h = type(g)(vertices, edges)
+    while leaves := {v for v, d in h.degrees().items() if d <= 1}:
+        h = h.delete_vertices(leaves)
     return h
 
 
@@ -1000,7 +997,7 @@ def ref_thicken_subcubic(h, k):
     vertices = set(g.vertices)
     edges = dict(g.edges)
     labels = dict(gadget.labels)
-    next_v = g.next_vertex_id()
+    next_v = max(g.vertices, default=-1) + 1
     next_e = g.next_edge_id()
     replaced = {}  # old vertex -> tuple of spine vertices
 

@@ -127,6 +127,23 @@ def test_oracle_subgraph_with_pattern(capsys, host_file, triangle_file):
     assert int(capsys.readouterr().out.strip()) == value
 
 
+@pytest.mark.parametrize("which, mode, patterns", [
+    *((which, "v", "cycles") for which in ("vpack-cycles", "vcover-cycles",
+                                           "epack-cycles", "ecover-cycles")),
+    *((which, mode, "k3") for which in ("pack-sub", "cover-sub") for mode in ("v", "e")),
+])
+def test_oracle_witness_verifies(tmp_path, capsys, host_file, which, mode, patterns):
+    # the witness an oracle writes reads back as a certificate that ep verify
+    # accepts, with as many members or elements as the value printed
+    witness = tmp_path / "w.json"
+    argv = ["oracle", which, "-i", host_file, "--pattern", "k3", "--mode", mode]
+    assert main([*argv, "-o", str(witness)]) == 0
+    value = int(capsys.readouterr().out)
+    assert len(eio.read_certificate(str(witness))) == value
+    assert main(["verify", "-i", host_file, "-c", str(witness), "--patterns", patterns]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_oracle_vpack_on_a_long_cycle(tmp_path, capsys):
     host = tmp_path / "c1500.gr"
     host.write_text(eio.format_gr(MultiGraph.cycle_graph(1500)))

@@ -6,7 +6,7 @@ from helpers import random_multigraph, replay
 
 from eppack import cycles
 from eppack.certificates import cycles_detector, verify_cover, verify_packing
-from eppack.cycles import Suppress, ep_cycles, reduce_low_degree, short_cycle_threshold
+from eppack.cycles import ep_cycles, reduce_low_degree, short_cycle_threshold
 from eppack.errors import InvalidParameter
 from eppack.gen import gnp
 from eppack.graph import Mode, MultiGraph
@@ -111,14 +111,14 @@ def test_ep_cycles_cover_within_its_claims(mode):
 def test_every_round_is_reduced_with_fresh_ids(monkeypatch, mode):
     # ep_cycles reduces g once and then only around each deleted cycle: every
     # round's graph must still be fully reduced, and no fresh id may repeat
-    # or reuse one of g's; each round appends its events to one shared trace
+    # or reuse one of g's; each round adds its suppressions to one shared trace
     rounds = []
 
     def recording(h, **kw):
-        before = len(kw["trace"].events)
+        before = len(kw["trace"].made_by)
         out = reduce_low_degree(h, **kw)
         assert out[1] is kw["trace"]
-        rounds.append((out[0], out[1].events[before:]))
+        rounds.append((out[0], list(out[1].made_by)[before:]))
         return out
 
     monkeypatch.setattr(cycles, "reduce_low_degree", recording)
@@ -127,11 +127,11 @@ def test_every_round_is_reduced_with_fresh_ids(monkeypatch, mode):
         rounds.clear()
         ep_cycles(g, 8, mode)
         assert len(rounds) > 1
-        fresh = [ev.replacement for _, evs in rounds for ev in evs if isinstance(ev, Suppress)]
+        fresh = [eid for _, eids in rounds for eid in eids]
         assert len(set(fresh)) == len(fresh)
         assert all(eid >= g.next_edge_id() for eid in fresh)
         for h, _ in rounds:
-            assert not reduce_low_degree(h)[1].events
+            assert reduce_low_degree(h)[0] is h
 
 
 @pytest.mark.parametrize("mode", list(Mode))

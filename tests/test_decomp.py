@@ -294,8 +294,9 @@ def _cycle_rank(h):
 def _same_separation(g, ntd, oracle):
     """The reference's (a, b), with the oracle asked first for g and then
     only at forget nodes, in postorder, whose vertex has at least two edges
-    into the node's set below(t): base, introduce and join nodes never ask.
-    The reference asks at least as often."""
+    into the node's set below(t) and whose set is not all of g: base,
+    introduce and join nodes never ask, and g is asked for once.  The
+    reference asks at least as often."""
     asked, ref_asked = [], []
 
     def counting(calls):
@@ -314,9 +315,10 @@ def _same_separation(g, ntd, oracle):
     for t in ntd.postorder():
         node = ntd.nodes[t]
         below = sub_vs[t] - node.bag
-        if node.kind == "forget" and g.induced(below).degree(node.vertex) >= 2:
+        if (node.kind == "forget" and below != g.vertices
+                and g.induced(below).degree(node.vertex) >= 2):
             forgets.append(below)
-    assert asked[0] == g.vertices
+    assert asked[0] == g.vertices and asked.count(g.vertices) == 1
     assert asked[1:] == forgets[: len(asked) - 1]
 
 

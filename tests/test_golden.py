@@ -28,7 +28,7 @@ from helpers import random_multigraph
 
 from eppack import io as eio
 from eppack.cli import main
-from eppack.cycles import DeleteVertex, ep_cycles, reduce_low_degree
+from eppack.cycles import ep_cycles, reduce_low_degree
 from eppack.decomp import exact_elimination_td, min_fill_td, to_nice
 from eppack.gen import gnp, random_subtree_family
 from eppack.graph import Mode, MultiGraph
@@ -74,12 +74,6 @@ def _graph(g):
     return [sorted(g.vertices), [[e, u, v] for e, (u, v) in g.edges.items()]]
 
 
-def _event(ev):
-    if isinstance(ev, DeleteVertex):
-        return ["delete", ev.vertex, list(ev.edges)]
-    return ["suppress", ev.vertex, ev.edge_a, ev.edge_b, ev.replacement, ev.x, ev.z]
-
-
 def ep_cycles_section():
     out = {}
     for name, g in [*_gnp_hosts(), *_named_hosts()]:
@@ -98,7 +92,9 @@ def reduce_section():
     out = {}
     for name, g in [*_gnp_hosts(), *_named_hosts(), *_multigraphs()]:
         h, trace = reduce_low_degree(g)
-        out[name] = {"events": [_event(ev) for ev in trace.events], "reduced": _graph(h)}
+        events = [["suppress", ev.vertex, ev.edge_a, ev.edge_b, rep, ev.x, ev.z]
+                  for rep, ev in trace.made_by.items()]
+        out[name] = {"events": events, "reduced": _graph(h)}
     return out
 
 

@@ -125,7 +125,7 @@ def _view(g):
         dict(g.edges),
         rows,
         {v: dict(row) for v, row in g._adj.items()},
-        {v: (g.incident(v), g.degree(v)) for v in g.vertices},
+        {v: g.degree(v) for v in g.vertices},
         g.shortest_cycle(),
     )
 

@@ -2,8 +2,8 @@
 
 ``reduce_low_degree``, ``shortest_cycle`` and ``enumerate_cycles`` must return
 exactly what the per-step rebuild, the uncut per-edge BFS and the scan of
-every rotation return: the same events, the same reduced graph (edge order
-included) and cycles in canonical form.  A reduction seeded with the
+every rotation return: the same suppressions, the same reduced graph (edge
+order included) and cycles in canonical form.  A reduction seeded with the
 neighbours of what was deleted from a reduced graph must equal the full one.
 The generator is pinned the same way: ``SplitMix64`` to the published
 splitmix64 outputs, ``below`` to one ``random()`` call per draw and ``gnp``
