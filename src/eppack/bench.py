@@ -90,23 +90,14 @@ def fuzz_jones(trials, max_n, seed):
     )
 
 
-@dataclass
-class GapTable:
-    rows: list = field(default_factory=list)
-    # row: (k, n, pack, cover, bound, hypotheses_held)
-
-    def to_csv(self):
-        lines = ["k,n,pack,cover,bound,hypotheses_held"]
-        for k, n, pack, cover, bound, held in self.rows:
-            lines.append(f"{k},{n},{pack},{cover},{bound},{str(held).lower()}")
-        return "\n".join(lines) + "\n"
-
-
 def bench_gap(mode, k_max, n, p, seed):
-    """Run the constructive cycle routine for growing k on seeded hosts."""
+    """Run the constructive cycle routine for growing k on seeded hosts.
+
+    Returns CSV text, one row per k after the header.
+    """
     det = cycles_detector()
     rng = SplitMix64(seed)
-    table = GapTable()
+    lines = ["k,n,pack,cover,bound,hypotheses_held"]
     for k in range(1, k_max + 1):
         g = gnp(n, p, rng.next_u64())
         outcome = ep_cycles(g, k, mode)
@@ -119,14 +110,9 @@ def bench_gap(mode, k_max, n, p, seed):
                 raise InvariantViolated(f"ep_cycles cover fails verification at k={k}")
             harvested = dict(outcome.report.events).get("harvested", 0)
             pack, cover = harvested, len(outcome.cover)
-        table.rows.append(
-            (
-                k,
-                g.n,
-                pack,
-                cover,
-                outcome.report.bound_claimed,
-                outcome.report.hypotheses_held,
-            )
+        report = outcome.report
+        lines.append(
+            f"{k},{g.n},{pack},{cover},{report.bound_claimed},"
+            f"{str(report.hypotheses_held).lower()}"
         )
-    return table
+    return "\n".join(lines) + "\n"

@@ -173,7 +173,7 @@ def cmd_decomp(args):
         return EXIT_OK
     if args.action == "cover":
         det = _detector(args.patterns)
-        coeff = args.ceiling_coeff or max(1, td.width())
+        coeff = max(1, td.width()) if args.ceiling_coeff is None else args.ceiling_coeff
         ceiling = Ceiling(lambda k: coeff * k)
         cover = cover_connected_bounded_tw(g, det, ceiling, td)
         _emit(args, io.format_certificate(cover, None, None))
@@ -241,10 +241,9 @@ def cmd_fuzz(args):
 
 
 def cmd_bench(args):
-    table = bench_mod.bench_gap(
+    _emit(args, bench_mod.bench_gap(
         Mode.parse(args.mode), args.k_max, args.n, args.p, args.seed
-    )
-    _emit(args, table.to_csv())
+    ))
     return EXIT_OK
 
 

@@ -168,8 +168,8 @@ def ep_cycles(g, k, mode, c=4.0):
     is recorded as a high-girth event and only the generic min-degree-3
     bound is claimed.
     """
-    if k < 1 or c <= 0:
-        raise InvalidParameter("ep_cycles needs k >= 1 and c > 0")
+    if k < 1 or not 0 < c * math.log2(3 * k) < math.inf:
+        raise InvalidParameter("ep_cycles needs k >= 1 and c > 0 with c*log2(3k) finite")
     threshold = short_cycle_threshold(3 * k, c)
     harvested = []
     cover_elems = set()

@@ -44,6 +44,8 @@ def validate_td(g, td):
     for t, b in td.bags.items():
         for v in b:
             holders.setdefault(v, set()).add(t)
+    if foreign := holders.keys() - g.vertices:
+        return Diagnostics([("bag-vertex-not-in-host", sorted(foreign))])
     missing = g.vertices - holders.keys()
     if missing:
         return Diagnostics([("vertex-in-no-bag", sorted(missing))])
@@ -250,11 +252,8 @@ class NiceTreeDecomposition:
     nodes: dict  # id -> NiceNode
     root: int
 
-    def _children(self):
-        return {t: node.children for t, node in self.nodes.items()}
-
     def postorder(self):
-        return postorder(self._children(), self.root)
+        return postorder({t: node.children for t, node in self.nodes.items()}, self.root)
 
     def audit(self):
         """Hard checks of the nice-form invariants; they run under -O too."""

@@ -21,7 +21,6 @@ from .graph import MultiGraph
 @dataclass
 class Gadget:
     graph: MultiGraph
-    labels: dict  # vertex -> descriptive tuple
     k: int
     variant: str  # gamma | subdivision | subdivision-subcubic | minor
     pattern: MultiGraph = None
@@ -48,24 +47,22 @@ class MinorModel:
 
 
 class _Assembly:
-    """Mutable vertex/edge store with labels, incidence and the class maps."""
+    """Mutable vertex/edge store with incidence and the class maps."""
 
     def __init__(self):
         self.vertices = set()
         self.edges = {}
         self.incident = {}  # vertex -> list of edge ids
-        self.labels = {}
         self.next_v = 0
         self.next_e = 0
         self.copies, self.columns, self.apex_groups = {}, {}, {}
         self.ports, self.bundles = {}, {}
 
-    def add_vertex(self, label):
+    def add_vertex(self):
         vid = self.next_v
         self.next_v += 1
         self.vertices.add(vid)
         self.incident[vid] = []
-        self.labels[vid] = label
         return vid
 
     def add_edge(self, u, v):
@@ -87,9 +84,8 @@ class _Assembly:
         # a leg's far end is its endpoint other than w
         far = {eid: sum(self.edges[eid]) - w for eid in self.incident.pop(w)}
         legs = sorted(far, key=lambda eid: (far[eid], eid))
-        label = ("tree",) + self.labels.pop(w)
         self.vertices.discard(w)
-        spine = [self.add_vertex(label + (t,)) for t in range(len(legs) - 2)]
+        spine = [self.add_vertex() for _ in range(len(legs) - 2)]
         for a, b in zip(spine, spine[1:]):
             self.add_edge(a, b)
         for eid, s in zip(legs, [spine[0], *spine, spine[-1]]):
@@ -100,7 +96,7 @@ class _Assembly:
     def gadget(self, k, variant, pattern=None):
         graph = MultiGraph(self.vertices, self.edges)
         return Gadget(
-            graph, self.labels, k, variant, pattern, self.copies,
+            graph, k, variant, pattern, self.copies,
             self.columns, self.apex_groups, self.ports, self.bundles,
         )
 
@@ -112,7 +108,7 @@ def _add_gamma_copy(asm, d, k, copy):
     grid = {}
     for row in range(height):
         for col in range(width):
-            grid[(row, col)] = asm.add_vertex(("grid", copy, row, col))
+            grid[(row, col)] = asm.add_vertex()
     for row in range(height):
         for col in range(width):
             if col + 1 < width:
@@ -120,7 +116,7 @@ def _add_gamma_copy(asm, d, k, copy):
             if row + 1 < height:
                 asm.add_edge(grid[(row, col)], grid[(row + 1, col)])
     for j in range(k):
-        a = asm.add_vertex(("apex", copy, j))
+        a = asm.add_vertex()
         for t in range(d):
             asm.add_edge(a, grid[(0, j * d + t)])
         asm.apex_groups[(copy, j)] = frozenset({a})

@@ -178,7 +178,7 @@ def parse_family(text):
         a, b = _ints(line, count=2)
         tree_edges.append((a - 1, b - 1))
     members = []
-    for line in lines[n:]:
+    for line in lines[max(n, 1):]:  # a tree of 0 vertices has no edge lines
         members.append(frozenset(v - 1 for v in _ints(line)))
     tree = MultiGraph.from_edges(range(n), tree_edges)
     return SubtreeFamily(tree, tuple(members))

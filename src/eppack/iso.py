@@ -124,25 +124,15 @@ def enumerate_cycles(g):
         if len(out) > ENUMERATION_CAP:
             raise BudgetExceeded(f"more than {ENUMERATION_CAP} cycles in host")
 
-    verts = sorted(g.vertices)
-    for u in verts:
-        for v in g.neighbors(u):
-            if v < u:
-                continue
-            ids = g.edges_between(u, v)
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    push(Cycle((u, v), (ids[a], ids[b])))
-
     # the 2-core of g less the roots done so far: it holds every cycle left
     deg = g.core_degrees()
 
     def steps(v):  # the (neighbour, edge id) pairs from v into that core
         return ((u, e) for u in g.neighbors(v) if u in deg for e in g.edges_between(v, u))
 
-    # simple cycles of length >= 3: root at the smallest vertex of the cycle,
-    # a DFS with one iterator of steps per path vertex
-    for s in verts:
+    # root each cycle at its smallest vertex, a DFS with one iterator of
+    # steps per path vertex; a 2-cycle closes on its larger edge id
+    for s in sorted(g.vertices):
         if s not in deg:
             continue
         path = [s]
@@ -161,7 +151,7 @@ def enumerate_cycles(g):
             if path_edges and eid == path_edges[-1]:
                 continue
             if u == s:
-                if len(path) >= 3 and path[1] < path[-1]:
+                if path[1] < path[-1] if len(path) > 2 else eid > path_edges[0]:
                     push(Cycle(tuple(path), tuple(path_edges + [eid])))
                 continue
             if u in on_path:

@@ -67,14 +67,19 @@ def _search(roots, expand):
 
 
 def _chordless_cycles(h, s, t=None):
-    """Chordless cycles of length 3 or more through vertex s, in DFS order.
+    """Chordless cycles through vertex s, in DFS order.
 
-    Without t each cycle comes once, in the direction whose second vertex is
-    the smaller neighbour of s, and parallel edges count as one.  With t
-    only the cycles through the edge s-t come, as paths from s to t.
+    Without t the 2-cycles come first, one per neighbour joined by parallel
+    edges, on its two smallest ids, in ascending neighbour order.  Then each
+    cycle of length 3 or more comes once, in the direction whose second
+    vertex is the smaller neighbour of s, and parallel edges count as one.
+    With t only the cycles of length 3 or more through the edge s-t come,
+    as paths from s to t.
     """
     adj = h._adj
-    out = []
+    out = [] if t is not None else [
+        Cycle((s, a), tuple(ids[:2])) for a, ids in sorted(adj[s].items()) if len(ids) > 1
+    ]
     for a in sorted(adj[s]):
         if a == t:
             continue
@@ -166,12 +171,7 @@ def exact_vpack_cycles(g):
             # any single extra cycle already improves; record greedily
             best[0], best[1] = acc + 1, list(members) + [c]
         v = min(c.vertex_set)
-        two_cycles = [
-            Cycle((v, u), tuple(ids[:2]))
-            for u, ids in sorted(h._adj[v].items())
-            if len(ids) > 1
-        ]
-        for p in two_cycles + _chordless_cycles(h, v):
+        for p in _chordless_cycles(h, v):
             yield h.delete_vertices(p.vertex_set), acc + 1, members + [p]
         yield h.delete_vertices({v}), acc, members
 

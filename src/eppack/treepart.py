@@ -33,6 +33,8 @@ def validate_tp(g, tp):
         if overlap:
             return Diagnostics([("bags-overlap", t, sorted(overlap))])
         seen |= tp.bags[t]
+    if foreign := seen - g.vertices:
+        return Diagnostics([("bag-vertex-not-in-host", sorted(foreign))])
     if seen != g.vertices:
         return Diagnostics([("bags-miss-vertices", sorted(g.vertices - seen))])
     home = {v: t for t, bag in tp.bags.items() for v in bag}
@@ -46,7 +48,13 @@ def validate_tp(g, tp):
 
 
 def tp_width(g, tp):
-    """Max over bag sizes, bag-internal edge counts, and cross-edge counts."""
+    """Max over bag sizes, bag-internal edge counts, and cross-edge counts.
+
+    Raises InvalidPartition unless tp is a tree partition of g.
+    """
+    check = validate_tp(g, tp)
+    if not check:
+        raise InvalidPartition(f"invalid partition: {check.violations}")
     home = {v: t for t, bag in tp.bags.items() for v in bag}
     internal = {t: 0 for t in tp.bags}
     cross = {}
@@ -108,12 +116,9 @@ def inductive_edge_cover(g, tp, det, k):
     """
     if k < 1:
         raise InvalidParameter("k must be at least 1")
-    check = validate_tp(g, tp)
-    if not check:
-        raise InvalidPartition(f"invalid partition: {check.violations}")
+    r = tp_width(g, tp)
     if det.delta_tilde_bound is None or not det.connected_patterns:
         raise InvalidParameter("detector must be connected with a degree bound")
-    r = tp_width(g, tp)
     d = det.delta_tilde_bound
 
     children = tp.tree.rooted(tp.root)

@@ -371,6 +371,9 @@ def ref_validate_td(g, td):
         return Diagnostics([("bags-vs-tree-mismatch",)])
     if td.tree.vertices and (not td.tree.is_forest() or not td.tree.is_connected()):
         return Diagnostics([("decomposition-tree-not-a-tree",)])
+    foreign = set().union(*td.bags.values()) - g.vertices
+    if foreign:
+        return Diagnostics([("bag-vertex-not-in-host", sorted(foreign))])
     missing = g.vertices - set().union(*td.bags.values())
     if missing:
         return Diagnostics([("vertex-in-no-bag", sorted(missing))])
@@ -986,7 +989,7 @@ def ref_enumerate_cycles(g):
 #
 # thicken_subcubic as it was before the caterpillars were made in the gadget's
 # own assembly: it finishes thicken(h, k), then re-derives vertices, edges,
-# labels, fresh ids and incidence from the finished graph and replaces every
+# fresh ids and incidence from the finished graph and replaces every
 # vertex of degree >= 4.  The package must build the same gadget, edge order
 # included.
 
@@ -996,7 +999,6 @@ def ref_thicken_subcubic(h, k):
     g = gadget.graph
     vertices = set(g.vertices)
     edges = dict(g.edges)
-    labels = dict(gadget.labels)
     next_v = max(g.vertices, default=-1) + 1
     next_e = g.next_edge_id()
     replaced = {}  # old vertex -> tuple of spine vertices
@@ -1016,11 +1018,10 @@ def ref_thicken_subcubic(h, k):
         )
         deg = len(legs)
         spine = []
-        for t in range(deg - 2):
+        for _ in range(deg - 2):
             vid = next_v
             next_v += 1
             vertices.add(vid)
-            labels[vid] = ("tree",) + labels[w] + (t,)
             spine.append(vid)
         for a, b in zip(spine, spine[1:]):
             edges[next_e] = (a, b) if a < b else (b, a)
@@ -1034,7 +1035,6 @@ def ref_thicken_subcubic(h, k):
             other = b if a == w else a
             edges[eid] = (s, other) if s < other else (other, s)
         vertices.discard(w)
-        del labels[w]
         replaced[w] = tuple(spine)
 
     def remap(vs):
@@ -1045,7 +1045,6 @@ def ref_thicken_subcubic(h, k):
 
     return Gadget(
         graph=MultiGraph(vertices, edges),
-        labels=labels,
         k=gadget.k,
         variant="subdivision-subcubic",
         pattern=gadget.pattern,

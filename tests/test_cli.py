@@ -275,6 +275,22 @@ def test_decomp_invalid_td(tmp_path, host_file, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+# vertex 7 is not on the 3-vertex path: validate says so, and the actions
+# that read the bags refuse them
+@pytest.mark.parametrize("command, text, action", [
+    ("decomp", "s td 1 4 3\nb 1 1 2 3 7\n", "nice"),
+    ("tp", "s tp 1 3\nb 1 1 2 3 7\n", "width"),
+], ids=["td", "tp"])
+def test_bag_vertex_outside_the_host(tmp_path, capsys, command, text, action):
+    host, bags = tmp_path / "path.gr", tmp_path / "bags"
+    host.write_text(eio.format_gr(MultiGraph.path_graph(3)))
+    bags.write_text(text)
+    assert main([command, "validate", "-i", str(host), "-t", str(bags)]) == 1
+    assert capsys.readouterr().out == "invalid: [('bag-vertex-not-in-host', [6])]\n"
+    assert main([command, action, "-i", str(host), "-t", str(bags)]) == 2
+    assert "bag-vertex-not-in-host" in capsys.readouterr().err
+
+
 def test_tp_actions(tmp_path, host_file, capsys):
     g = eio.read_gr(host_file)
     tp = bfs_layer_tp(g)
@@ -436,6 +452,7 @@ MALFORMED = {
     "tp-negative-count": ("tp", "s tp -1 3\n"),
     "family-edge-token": ("family", "t 2\n1 x\n1\n"),
     "family-negative-count": ("family", "t -1\n"),
+    "family-empty-tree": ("family", "t 0\n"),
     "cert-missing-keys": ("verify", '{"kind":"packing"}'),
     "cert-wrong-type": ("verify", '{"kind":"cover","mode":"v","elements":[[1]]}'),
     "cert-not-json": ("verify", "not json"),
@@ -461,6 +478,13 @@ MALFORMED = {
     "route-no-input": ("route-no-input", THICK_META),
     "route-subcubic-k5": ("gadget", SUBCUBIC_K5_META),
     "oracle-pattern": ("oracle-pattern", TRIANGLE_GR),
+    "cycles-c-nan": ("cycles-c", "nan"),
+    "cycles-c-inf": ("cycles-c", "inf"),
+    "cycles-c-overflow": ("cycles-c", "1.7e308"),  # c*log2(3) is not finite
+    # the triangle needs width 2, above a ceiling of 0 * k
+    "cover-ceiling-zero": ("cover-ceiling-zero", TRIANGLE_TD),
+    "tp-width-misses-vertex": ("tp-width", "s tp 1 3\nb 1 1 2\n"),
+    "tp-width-not-a-tree": ("tp-width", "s tp 2 3\nb 1 1 2 3\nb 2\n"),
 }
 
 
@@ -489,6 +513,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "route-x-unknown": ["gadget", "route", "-i", str(bad), "-x", "999999"],
         "route-no-input": ["gadget", "route", "-x", "0"],
         "oracle-pattern": ["oracle", "pack-sub", "-i", str(host), "--pattern", "nope"],
+        "cycles-c": ["cycles", "-i", str(host), "-k", "1", "--c-const", text],
+        "cover-ceiling-zero": [
+            "decomp", "cover", "-i", str(host), "-t", str(bad), "--ceiling-coeff", "0",
+        ],
+        "tp-width": ["tp", "width", "-i", str(host), "-t", str(bad)],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -64,6 +64,12 @@ def test_validate_td_positive_and_negative():
     )
     assert validate_td(g, missing_vertex).violations[0][0] == "vertex-in-no-bag"
 
+    foreign_vertex = TreeDecomposition(
+        tree, {0: frozenset({0, 1, 3}), 1: frozenset({1, 2, 3, 7})}
+    )
+    check = validate_td(g, foreign_vertex)
+    assert not check and check.violations == [("bag-vertex-not-in-host", [7])]
+
     disconnected_trace = TreeDecomposition(
         MultiGraph.from_edges(range(3), [(0, 1), (1, 2)]),
         {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({0, 2, 3})},
@@ -166,13 +172,15 @@ def test_min_fill_order_matches_reference(g):
 @settings(max_examples=300)
 @given(multigraphs(max_n=10, min_n=0), st.data())
 def test_validate_td_matches_reference(g, data):
-    # toggling host vertices in bags breaks each condition in turn
+    # toggling host vertices, or one the host lacks, in bags breaks each
+    # condition in turn
     td = min_fill_td(g)
     bags = dict(td.bags)
     verts = sorted(g.vertices)
+    toggles = verts + [max(verts, default=-1) + 1]
     for _ in range(data.draw(st.integers(0, 3)) if verts else 0):
         t = data.draw(st.sampled_from(sorted(bags)))
-        bags[t] = bags[t] ^ {data.draw(st.sampled_from(verts))}
+        bags[t] = bags[t] ^ {data.draw(st.sampled_from(toggles))}
     mutated = TreeDecomposition(td.tree, bags)
     assert validate_td(g, mutated) == ref_validate_td(g, mutated)
 

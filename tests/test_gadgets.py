@@ -40,10 +40,9 @@ def test_gamma_apex_wiring():
     for (copy, j), group in g.apex_groups.items():
         (a,) = group
         nbrs = g.graph.neighbors(a)
-        assert len(nbrs) == 3
-        cols = sorted(g.labels[v][3] for v in nbrs)
-        assert cols == [3 * j, 3 * j + 1, 3 * j + 2]
-        assert all(g.labels[v][2] == 0 for v in nbrs)  # first row
+        # grid ids run row-major from 0, so row 0's cell in column c is c
+        assert nbrs == [3 * j, 3 * j + 1, 3 * j + 2]
+        assert [c for v in nbrs for (_, c), col in g.columns.items() if v in col] == nbrs
 
 
 def test_thicken_smallest_case():
@@ -60,8 +59,7 @@ def test_thicken_counts_and_determinism():
     assert t.graph.n == 5 * per_copy
     assert all(len(eids) == 3 for eids in t.bundles.values())
     again = thicken(K5, 3)
-    assert t.graph == again.graph
-    assert t.labels == again.labels
+    assert t == again
 
 
 def test_thicken_rejects_bad_patterns():
@@ -98,7 +96,6 @@ def test_subcubic_matches_frozen_caterpillars(name):
         for got in (thicken_subcubic(h, k), thicken_minor(h, k)):
             assert got == replace(ref, variant=got.variant)
             assert list(got.graph.edges.items()) == list(ref.graph.edges.items())
-            assert list(got.labels.items()) == list(ref.labels.items())
 
 
 def test_canonical_models_verify():

@@ -124,6 +124,12 @@ def test_family_round_trip():
     assert eio.format_family(back) == text
 
 
+def test_family_on_an_empty_tree_has_no_members():
+    # members come only after the header, even with no tree-edge lines
+    fam = eio.parse_family("t 0\n")
+    assert fam.tree.n == 0 and fam.members == ()
+
+
 # The header errors of the bag and family formats, worded as for .gr: a
 # negative count is an error, not an empty decomposition or family.
 HEADER_ERRORS = {

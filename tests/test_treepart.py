@@ -64,6 +64,13 @@ def test_wraparound_edge_breaks_three_bag_path():
     assert check.violations[0][0] == "edge-crosses-non-adjacent-bags"
 
 
+def test_bag_vertex_outside_the_host():
+    tp = _c9_two_bags()
+    foreign = TreePartition(tp.tree, 0, {**tp.bags, 1: tp.bags[1] | {9, 12}})
+    check = validate_tp(C9, foreign)
+    assert not check and check.violations == [("bag-vertex-not-in-host", [9, 12])]
+
+
 def test_single_bag_always_valid():
     g = MultiGraph.complete(5)
     tree = MultiGraph(range(1), {})
